@@ -5,10 +5,14 @@
 //  - shedding-set selection via dynamic programming over tens of classes
 //    is fast enough for online use;
 //  - offline cost-model estimation takes on the order of seconds.
+// BM_HarnessPrepare times the whole training pipeline a hybrid run sets up
+// with: offline replay, cost model, PI/hSPICE/pSPICE tables and the
+// no-shedding ground truth (ungated; CI keeps it as BENCH_train.json).
 
 #include <benchmark/benchmark.h>
 
 #include "src/ml/kmeans.h"
+#include "src/runtime/experiment.h"
 #include "src/opt/knapsack.h"
 #include "src/shed/cost_model.h"
 #include "src/shed/offline_estimator.h"
@@ -117,6 +121,29 @@ void BM_CostModelClassifyEvent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostModelClassifyEvent);
+
+void BM_HarnessPrepare(benchmark::State& state) {
+  // The end-to-end benchmark's ds1_q1_hybrid set-up: Q1 WITHIN 8ms,
+  // 30k training events, 20k test events.
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 30000;
+  gen.seed = 21;
+  const EventStream train = GenerateDs1(schema, gen);
+  gen.num_events = 20000;
+  gen.seed = 22;
+  const EventStream test = GenerateDs1(schema, gen);
+  for (auto _ : state) {
+    ExperimentHarness harness(&schema, *queries::Q1("8ms"), HarnessOptions{});
+    const Status st = harness.Prepare(train, test);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(harness.BaselineLatency());
+  }
+}
+BENCHMARK(BM_HarnessPrepare)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 }  // namespace
 }  // namespace cepshed

@@ -8,6 +8,8 @@
 #include <limits>
 #include <numeric>
 
+#include "src/ml/presort.h"
+
 namespace cepshed {
 
 namespace {
@@ -24,6 +26,13 @@ double Gini(const std::vector<double>& counts, double total) {
 
 }  // namespace
 
+struct DecisionTree::FitScratch {
+  PresortedColumns columns;
+  const std::vector<int>& y;
+  std::vector<uint32_t> indices;
+  const Options& options;
+};
+
 Status DecisionTree::Fit(const std::vector<std::vector<double>>& x,
                          const std::vector<int>& y, const Options& options) {
   if (x.empty() || x.size() != y.size()) {
@@ -38,10 +47,11 @@ Status DecisionTree::Fit(const std::vector<std::vector<double>>& x,
     if (y[i] < 0) return Status::InvalidArgument("decision tree: negative label");
     num_classes_ = std::max(num_classes_, y[i] + 1);
   }
+  FitScratch s{PresortedColumns(x), y, {}, options};
+  s.indices.resize(x.size());
+  std::iota(s.indices.begin(), s.indices.end(), 0u);
   nodes_.clear();
-  std::vector<uint32_t> indices(x.size());
-  std::iota(indices.begin(), indices.end(), 0u);
-  Build(x, y, indices, 0, indices.size(), 0, options);
+  Build(s, 0, x.size(), 0);
 
   size_t correct = 0;
   for (size_t i = 0; i < x.size(); ++i) {
@@ -51,12 +61,13 @@ Status DecisionTree::Fit(const std::vector<std::vector<double>>& x,
   return Status::OK();
 }
 
-int DecisionTree::Build(const std::vector<std::vector<double>>& x,
-                        const std::vector<int>& y, std::vector<uint32_t>& indices,
-                        size_t begin, size_t end, int depth, const Options& options) {
+int DecisionTree::Build(FitScratch& s, size_t begin, size_t end, int depth) {
   const size_t n = end - begin;
-  std::vector<double> counts(static_cast<size_t>(num_classes_), 0.0);
-  for (size_t i = begin; i < end; ++i) counts[static_cast<size_t>(y[indices[i]])] += 1.0;
+  const size_t k = static_cast<size_t>(num_classes_);
+  std::vector<double> counts(k, 0.0);
+  for (size_t i = begin; i < end; ++i) {
+    counts[static_cast<size_t>(s.y[s.indices[i]])] += 1.0;
+  }
   int majority = 0;
   for (int c = 1; c < num_classes_; ++c) {
     if (counts[static_cast<size_t>(c)] > counts[static_cast<size_t>(majority)]) majority = c;
@@ -67,36 +78,38 @@ int DecisionTree::Build(const std::vector<std::vector<double>>& x,
   nodes_.push_back(Node{});
   nodes_[static_cast<size_t>(node_id)].label = majority;
 
-  if (depth >= options.max_depth || purity >= options.purity_stop ||
-      n < 2 * static_cast<size_t>(options.min_samples_leaf)) {
+  const Options& options = s.options;
+  const size_t min_leaf = static_cast<size_t>(options.min_samples_leaf);
+  if (depth >= options.max_depth || purity >= options.purity_stop || n < 2 * min_leaf) {
     return node_id;
   }
 
-  // Best (feature, threshold) by Gini impurity decrease.
+  // Best (feature, threshold) by Gini impurity decrease, scanning each
+  // feature's presorted rows. Split points fall only between distinct
+  // values, where the class counts on either side do not depend on the
+  // order of equal-valued rows.
   const double parent_gini = Gini(counts, static_cast<double>(n));
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_score = parent_gini - 1e-9;
-  std::vector<std::pair<double, int>> column(n);
-  std::vector<double> left_counts(static_cast<size_t>(num_classes_));
+  std::vector<double> left_counts(k);
+  std::vector<double> right_counts(k);
   for (size_t f = 0; f < num_features_; ++f) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t idx = indices[begin + i];
-      column[i] = {x[idx][f], y[idx]};
-    }
-    std::sort(column.begin(), column.end());
+    const double* col = s.columns.column(f);
+    const uint32_t* ord = s.columns.order(f) + begin;
+    if (col[ord[0]] == col[ord[n - 1]]) continue;  // constant here: no split
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
-    std::vector<double> right_counts = counts;
+    right_counts = counts;
     for (size_t i = 0; i + 1 < n; ++i) {
-      left_counts[static_cast<size_t>(column[i].second)] += 1.0;
-      right_counts[static_cast<size_t>(column[i].second)] -= 1.0;
-      if (column[i].first == column[i + 1].first) continue;
+      const size_t label = static_cast<size_t>(s.y[ord[i]]);
+      left_counts[label] += 1.0;
+      right_counts[label] -= 1.0;
+      const double value = col[ord[i]];
+      const double next = col[ord[i + 1]];
+      if (value == next) continue;
       const size_t nl = i + 1;
       const size_t nr = n - nl;
-      if (nl < static_cast<size_t>(options.min_samples_leaf) ||
-          nr < static_cast<size_t>(options.min_samples_leaf)) {
-        continue;
-      }
+      if (nl < min_leaf || nr < min_leaf) continue;
       const double score =
           (static_cast<double>(nl) * Gini(left_counts, static_cast<double>(nl)) +
            static_cast<double>(nr) * Gini(right_counts, static_cast<double>(nr))) /
@@ -104,27 +117,21 @@ int DecisionTree::Build(const std::vector<std::vector<double>>& x,
       if (score < best_score) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (column[i].first + column[i + 1].first);
+        best_threshold = 0.5 * (value + next);
       }
     }
   }
   if (best_feature < 0) return node_id;
 
-  // Partition indices in place.
-  auto mid_it = std::partition(indices.begin() + static_cast<ptrdiff_t>(begin),
-                               indices.begin() + static_cast<ptrdiff_t>(end),
-                               [&](uint32_t idx) {
-                                 return x[idx][static_cast<size_t>(best_feature)] <=
-                                        best_threshold;
-                               });
-  const size_t mid = static_cast<size_t>(mid_it - indices.begin());
+  const size_t mid = s.columns.Split(&s.indices, begin, end,
+                                     static_cast<size_t>(best_feature), best_threshold);
   if (mid == begin || mid == end) return node_id;  // degenerate split
 
   nodes_[static_cast<size_t>(node_id)].feature = best_feature;
   nodes_[static_cast<size_t>(node_id)].threshold = best_threshold;
-  const int left = Build(x, y, indices, begin, mid, depth + 1, options);
+  const int left = Build(s, begin, mid, depth + 1);
   nodes_[static_cast<size_t>(node_id)].left = left;
-  const int right = Build(x, y, indices, mid, end, depth + 1, options);
+  const int right = Build(s, mid, end, depth + 1);
   nodes_[static_cast<size_t>(node_id)].right = right;
   return node_id;
 }

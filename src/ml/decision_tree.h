@@ -71,9 +71,10 @@ class DecisionTree {
     int label = 0;         // majority class (valid for all nodes)
   };
 
-  int Build(const std::vector<std::vector<double>>& x, const std::vector<int>& y,
-            std::vector<uint32_t>& indices, size_t begin, size_t end, int depth,
-            const Options& options);
+  /// Fit-local data: presorted feature orders and the row partition.
+  struct FitScratch;
+
+  int Build(FitScratch& s, size_t begin, size_t end, int depth);
 
   std::vector<Node> nodes_;
   int num_classes_ = 0;

@@ -71,10 +71,11 @@ class RegressionTree {
     int leaf_index = -1;  // valid for leaves
   };
 
-  int Build(const std::vector<std::vector<double>>& x,
-            const std::vector<std::vector<double>>& y_norm,
-            std::vector<uint32_t>& indices, size_t begin, size_t end, int depth,
-            const Options& options, const std::vector<std::vector<double>>& y_raw);
+  /// Fit-local data: presorted feature orders, normalized targets and the
+  /// row partition.
+  struct FitScratch;
+
+  int Build(FitScratch& s, size_t begin, size_t end, int depth);
 
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;

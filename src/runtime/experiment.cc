@@ -46,7 +46,7 @@ Status ExperimentHarness::Prepare(const EventStream& train, const EventStream& t
 
   positional_ = std::make_unique<PositionalUtility>(
       static_cast<int>(schema_->num_event_types()), /*buckets=*/8, query_.window);
-  CEPSHED_RETURN_NOT_OK(positional_->Train(nfa_, train_));
+  CEPSHED_RETURN_NOT_OK(positional_->Train(train_, offline_));
 
   hspice_ = std::make_unique<HspiceTable>();
   CEPSHED_RETURN_NOT_OK(hspice_->Train(nfa_, offline_));

@@ -2,6 +2,7 @@
 
 #include "src/runtime/multi_query.h"
 
+#include "src/shed/controller.h"
 #include "src/shed/offline_estimator.h"
 #include "src/shed/registry.h"
 
@@ -53,16 +54,9 @@ Status MultiQueryRunner::Prepare(const EventStream& train) {
     pspice_.push_back(std::move(pspice));
 
     // The query's no-shedding per-event cost on the training stream sizes
-    // its budget share.
-    Engine probe(nfa, engine_options_);
-    double total = 0.0;
-    std::vector<Match> sink;
-    for (const EventPtr& e : train) {
-      total += probe.Process(e, &sink);
-      sink.clear();
-    }
-    baseline_cost_.push_back(train.empty() ? 1.0
-                                           : total / static_cast<double>(train.size()));
+    // its budget share; the offline replay ran the same engine options.
+    baseline_cost_.push_back(
+        train.empty() ? 1.0 : stats.total_cost / static_cast<double>(train.size()));
 
     nfas_.push_back(std::move(nfa));
     models_.push_back(std::move(model));
@@ -161,7 +155,7 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
       PerQuery& query_run = running[q];
       double cost;
       if (query_run.shedder != nullptr && query_run.shedder->FilterEvent(*event)) {
-        cost = 0.05;
+        cost = ShedRunner::kDroppedEventCost;
       } else {
         cost = query_run.engine->Process(event, &result.queries[q].matches);
         if (query_run.obs != nullptr) {

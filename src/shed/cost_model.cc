@@ -221,30 +221,30 @@ Status CostModel::Train(const OfflineStats& stats, Rng* rng) {
 
 int32_t CostModel::Classify(const PartialMatch& pm) const {
   if (!trained_ || pm.Length() == 0) return 0;
-  return ClassifyFeatures(states_[static_cast<size_t>(pm.state)],
-                          ExtractStateFeatures(pm, *nfa_));
+  thread_local std::vector<double> features;
+  ExtractStateFeatures(pm, *nfa_, &features);
+  return ClassifyFeatures(states_[static_cast<size_t>(pm.state)], features);
 }
 
 int32_t CostModel::ClassifyPrefix(const Match& match, int state) const {
   if (!trained_ || state < 1 ||
-      static_cast<size_t>(state) > match.slot_end.size()) {
+      static_cast<size_t>(state) > match.slot_end.size() ||
+      state >= nfa_->num_states()) {
     return 0;
   }
   // Features of the prefix partial match at `state`: the last event of
   // each closed slot 0..state-1, with the (empty) in-progress slot left
-  // at the -1 sentinel — byte-identical to ExtractStateFeatures on the
+  // at the -1 sentinel — identical to ExtractStateFeatures on the
   // materialized prefix, without rebuilding a PartialMatch per ancestor.
-  const std::vector<int>& attrs = nfa_->PredicateAttrs();
-  const size_t per_event = attrs.size();
+  const size_t per_event = nfa_->PredicateAttrs().size();
   const size_t slots = static_cast<size_t>(state) + 1;
-  std::vector<float> features(slots * per_event, -1.0f);
+  thread_local std::vector<double> features;
+  features.assign(slots * per_event, -1.0);
   uint32_t begin = 0;
   for (size_t slot = 0; slot + 1 < slots; ++slot) {
     const uint32_t end = match.slot_end[slot];
     if (end > begin) {
-      const std::vector<float> ev = ExtractFeatures(*match.events[end - 1], *nfa_);
-      std::copy(ev.begin(), ev.end(),
-                features.begin() + static_cast<ptrdiff_t>(slot * per_event));
+      ExtractFeatures(*match.events[end - 1], *nfa_, features.data() + slot * per_event);
     }
     begin = end;
   }
@@ -252,10 +252,9 @@ int32_t CostModel::ClassifyPrefix(const Match& match, int state) const {
 }
 
 int32_t CostModel::ClassifyFeatures(const StateModel& sm,
-                                    const std::vector<float>& f) const {
+                                    const std::vector<double>& f) const {
   if (!sm.pm_tree.fitted()) return 0;
-  std::vector<double> fd(f.begin(), f.end());
-  const int leaf = sm.pm_tree.PredictLeaf(fd);
+  const int leaf = sm.pm_tree.PredictLeaf(f);
   if (leaf < 0 || static_cast<size_t>(leaf) >= sm.class_of_leaf.size()) return 0;
   return sm.class_of_leaf[static_cast<size_t>(leaf)];
 }
@@ -265,9 +264,10 @@ int32_t CostModel::ClassifyEvent(const Event& event, int state) const {
   if (state < 0 || state >= nfa_->num_states()) return 0;
   const StateModel& sm = states_[static_cast<size_t>(state)];
   if (!sm.event_tree.fitted()) return 0;
-  const std::vector<float> f = ExtractFeatures(event, *nfa_);
-  std::vector<double> fd(f.begin(), f.end());
-  return sm.event_tree.Predict(fd);
+  thread_local std::vector<double> features;
+  features.resize(nfa_->PredicateAttrs().size());
+  ExtractFeatures(event, *nfa_, features.data());
+  return sm.event_tree.Predict(features);
 }
 
 double CostModel::Contribution(int state, int32_t cls, int slice) const {
@@ -309,20 +309,24 @@ std::vector<int> CostModel::ResultStatesForType(int type) const {
 
 double CostModel::EventUtility(const Event& event) const {
   double best = 0.0;
-  std::vector<double> features;
+  thread_local std::vector<double> features;
+  bool extracted = false;
   for (int s : ResultStatesForType(event.type())) {
     const StateModel& sm = states_[static_cast<size_t>(s)];
     if (!sm.event_value_tree.fitted()) continue;
-    if (features.empty()) {
-      const std::vector<float> f = ExtractFeatures(event, *nfa_);
-      features.assign(f.begin(), f.end());
+    if (!extracted) {
+      features.resize(nfa_->PredicateAttrs().size());
+      ExtractFeatures(event, *nfa_, features.data());
+      extracted = true;
     }
     // Blend the (static) trained event-value prediction with the *adapted*
     // estimate of the class the event maps to: after a distribution
     // change, the class estimates carry the updated signal while the tree
     // provides the fine-grained ranking within the trained regime.
     best = std::max(best, sm.event_value_tree.Predict(features)[0]);
-    best = std::max(best, Contribution(s, ClassifyEvent(event, s), 0));
+    const int32_t cls =
+        trained_ && sm.event_tree.fitted() ? sm.event_tree.Predict(features) : 0;
+    best = std::max(best, Contribution(s, cls, 0));
   }
   // An event that can complete the pattern converts already-paid work into
   // results directly; dropping it forfeits finished matches. Rank such

@@ -89,7 +89,8 @@ class CostModel {
   int32_t Classify(const PartialMatch& pm) const;
 
   /// Classifies the prefix of a complete match that was a partial match at
-  /// `state` (1..slot_end.size()): same features and tree as Classify on
+  /// `state` (1..slot_end.size() and below num_states(); any other state
+  /// classifies as 0): same features and tree as Classify on
   /// the materialized prefix, but read directly off the match — the
   /// online-adaptation path must not rebuild per-ancestor event vectors.
   int32_t ClassifyPrefix(const Match& match, int state) const;
@@ -173,7 +174,7 @@ class CostModel {
   };
 
   /// Shared tail of Classify/ClassifyPrefix: feature vector -> class.
-  int32_t ClassifyFeatures(const StateModel& sm, const std::vector<float>& f) const;
+  int32_t ClassifyFeatures(const StateModel& sm, const std::vector<double>& f) const;
 
   size_t TableIndex(int32_t cls, int slice) const {
     return static_cast<size_t>(cls) * static_cast<size_t>(options_.num_time_slices) +

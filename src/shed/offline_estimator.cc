@@ -4,46 +4,48 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
 
 namespace cepshed {
 
-std::vector<float> ExtractFeatures(const Event& event, const Nfa& nfa) {
-  const std::vector<int>& attrs = nfa.PredicateAttrs();
-  std::vector<float> features;
-  features.reserve(attrs.size());
-  for (int a : attrs) {
+bool OfflineStats::Participates(uint64_t seq) const {
+  return std::binary_search(participating_seqs.begin(), participating_seqs.end(), seq);
+}
+
+template <typename T>
+void ExtractFeatures(const Event& event, const Nfa& nfa, T* out) {
+  for (int a : nfa.PredicateAttrs()) {
     const Value& v = event.attr(a);
+    float f = -1.0f;
     switch (v.type()) {
       case ValueType::kInt:
-        features.push_back(static_cast<float>(v.AsInt()));
+        f = static_cast<float>(v.AsInt());
         break;
       case ValueType::kDouble:
-        features.push_back(static_cast<float>(v.AsDouble()));
+        f = static_cast<float>(v.AsDouble());
         break;
       case ValueType::kString:
         // Categorical attributes enter the tree as stable hash buckets.
-        features.push_back(static_cast<float>(v.Hash() % 1024));
+        f = static_cast<float>(v.Hash() % 1024);
         break;
       case ValueType::kNull:
-        features.push_back(-1.0f);
         break;
     }
+    *out++ = static_cast<T>(f);
   }
-  return features;
 }
 
-std::vector<float> ExtractStateFeatures(const PartialMatch& pm, const Nfa& nfa) {
-  const std::vector<int>& attrs = nfa.PredicateAttrs();
-  const size_t per_event = attrs.size();
+template <typename T>
+void ExtractStateFeatures(const PartialMatch& pm, const Nfa& nfa, std::vector<T>* out) {
+  const size_t per_event = nfa.PredicateAttrs().size();
   // Slots 0..state inclusive; the in-progress slot may be empty. Only the
   // *last* event of each slot feeds the features, and slot ends are
   // non-decreasing, so one reverse walk over the shared-prefix binding
   // chain visits every needed node (depth d holds flat index d-1) without
   // materializing the whole match.
   const size_t slots = static_cast<size_t>(pm.state) + 1;
-  std::vector<float> features(slots * per_event, -1.0f);
+  out->assign(slots * per_event, static_cast<T>(-1.0f));
   const BindingNode* node = pm.tail();
   for (size_t slot = slots; slot-- > 0;) {
     const uint32_t end =
@@ -55,12 +57,16 @@ std::vector<float> ExtractStateFeatures(const PartialMatch& pm, const Nfa& nfa) 
     if (end <= begin) continue;
     while (node != nullptr && node->depth > end) node = node->prev;
     if (node == nullptr) break;
-    const std::vector<float> ev = ExtractFeatures(*node->event, nfa);
-    std::copy(ev.begin(), ev.end(),
-              features.begin() + static_cast<ptrdiff_t>(slot * per_event));
+    ExtractFeatures(*node->event, nfa, out->data() + slot * per_event);
   }
-  return features;
 }
+
+template void ExtractFeatures<float>(const Event&, const Nfa&, float*);
+template void ExtractFeatures<double>(const Event&, const Nfa&, double*);
+template void ExtractStateFeatures<float>(const PartialMatch&, const Nfa&,
+                                          std::vector<float>*);
+template void ExtractStateFeatures<double>(const PartialMatch&, const Nfa&,
+                                           std::vector<double>*);
 
 Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
                                      const EventStream& history, int num_slices,
@@ -78,8 +84,17 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
   stats.num_events = history.size();
 
   Engine engine(nfa, engine_options);
-  std::unordered_map<uint64_t, size_t> index_of;  // pm id -> records index
-  std::unordered_set<uint64_t> participating_events;
+  // Engine pm ids are dense from 1, so records are found through a flat
+  // id -> record table; witnesses keep kNoRecord. Each record's parent
+  // record index is resolved once at creation, so the ancestor walks below
+  // follow record indices without any id lookup.
+  constexpr uint32_t kNoRecord = UINT32_MAX;
+  std::vector<uint32_t> record_of;  // pm id -> records index
+  std::vector<uint32_t> parent_of;  // records index -> parent records index
+  auto find_record = [&](uint64_t id) {
+    return id < record_of.size() ? record_of[id] : kNoRecord;
+  };
+  std::unordered_set<uint64_t> participating;
 
   auto slice_of = [&](Timestamp start_ts, Timestamp now) {
     const Duration age = now - start_ts;
@@ -95,8 +110,9 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     rec.id = pm.id;
     rec.parent_id = parent != nullptr ? parent->id : 0;
     rec.state = pm.state;
-    rec.features = ExtractStateFeatures(pm, *nfa);
-    rec.event_features = ExtractFeatures(*pm.LastEvent(), *nfa);
+    ExtractStateFeatures(pm, *nfa, &rec.features);
+    rec.event_features.resize(nfa->PredicateAttrs().size());
+    ExtractFeatures(*pm.LastEvent(), *nfa, rec.event_features.data());
     rec.last_event_type = static_cast<int>(pm.LastEvent()->type());
     rec.contrib_by_slice.assign(static_cast<size_t>(num_slices), 0.0f);
     rec.consum_by_slice.assign(static_cast<size_t>(num_slices), 0.0f);
@@ -109,21 +125,19 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     rec.start_ts = pm.start_ts;
     rec.birth_ts = pm.last_ts;
     rec.consum_by_slice[0] = rec.own_omega;  // its own footprint
-    index_of.emplace(rec.id, stats.records.size());
+    if (record_of.size() <= pm.id) record_of.resize(pm.id + 1, kNoRecord);
+    record_of[pm.id] = static_cast<uint32_t>(stats.records.size());
+    parent_of.push_back(find_record(rec.parent_id));
+    const float omega = rec.own_omega;
     stats.records.push_back(std::move(rec));
 
     // Charge the new match's creation cost to every ancestor, at the age
     // slice the ancestor had at this moment: shedding the ancestor before
     // that slice would have prevented the derivation (Gamma- of Eq. 4).
-    uint64_t ancestor = stats.records.back().parent_id;
-    const float omega = stats.records.back().own_omega;
     const Timestamp now = pm.last_ts;
-    while (ancestor != 0) {
-      auto it = index_of.find(ancestor);
-      if (it == index_of.end()) break;
-      PmRecord& anc = stats.records[it->second];
+    for (uint32_t a = parent_of.back(); a != kNoRecord; a = parent_of[a]) {
+      PmRecord& anc = stats.records[a];
       anc.consum_by_slice[slice_of(anc.start_ts, now)] += omega;
-      ancestor = anc.parent_id;
     }
   });
 
@@ -135,37 +149,30 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     // shedding an ancestor after the derivation no longer saves this work.
     engine.set_pm_probed_hook(
         [&](const PartialMatch& pm, double cost, Timestamp now) {
-          auto self = index_of.find(pm.id);
-          if (self == index_of.end()) return;
-          PmRecord& rec = stats.records[self->second];
+          const uint32_t self = find_record(pm.id);
+          if (self == kNoRecord) return;
+          PmRecord& rec = stats.records[self];
           rec.consum_by_slice[slice_of(rec.start_ts, now)] +=
               static_cast<float>(cost);
           const Timestamp birth = rec.birth_ts;
-          uint64_t ancestor = rec.parent_id;
-          while (ancestor != 0) {
-            auto it = index_of.find(ancestor);
-            if (it == index_of.end()) break;
-            PmRecord& anc = stats.records[it->second];
+          for (uint32_t a = parent_of[self]; a != kNoRecord; a = parent_of[a]) {
+            PmRecord& anc = stats.records[a];
             anc.consum_by_slice[slice_of(anc.start_ts, birth)] +=
                 static_cast<float>(cost);
-            ancestor = anc.parent_id;
           }
         });
   }
 
   engine.set_match_hook([&](const Match& match, const PartialMatch* parent) {
     ++stats.num_matches;
-    for (const EventPtr& e : match.events) participating_events.insert(e->seq());
+    for (const EventPtr& e : match.events) participating.insert(e->seq());
     // Credit the complete match to every ancestor (the contribution
     // Gamma+ of Eq. 3).
-    uint64_t ancestor = parent != nullptr ? parent->id : 0;
     const Timestamp now = match.detected_at;
-    while (ancestor != 0) {
-      auto it = index_of.find(ancestor);
-      if (it == index_of.end()) break;
-      PmRecord& anc = stats.records[it->second];
+    for (uint32_t a = find_record(parent != nullptr ? parent->id : 0); a != kNoRecord;
+         a = parent_of[a]) {
+      PmRecord& anc = stats.records[a];
       anc.contrib_by_slice[slice_of(anc.start_ts, now)] += 1.0f;
-      ancestor = anc.parent_id;
     }
   });
 
@@ -174,6 +181,9 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     engine.Process(e, &sink);
     sink.clear();
   }
+  stats.total_cost = engine.stats().total_cost;
+  stats.participating_seqs.assign(participating.begin(), participating.end());
+  std::sort(stats.participating_seqs.begin(), stats.participating_seqs.end());
 
   // Per-type selectivity statistics for the SI baseline.
   const size_t num_types = nfa->schema().num_event_types();
@@ -181,7 +191,7 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
   std::vector<size_t> type_hits(num_types, 0);
   for (const EventPtr& e : history) {
     ++type_count[static_cast<size_t>(e->type())];
-    if (participating_events.count(e->seq()) > 0) {
+    if (stats.Participates(e->seq())) {
       ++type_hits[static_cast<size_t>(e->type())];
     }
   }

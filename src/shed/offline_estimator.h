@@ -73,18 +73,34 @@ struct OfflineStats {
   std::vector<double> state_completion;
   size_t num_events = 0;
   size_t num_matches = 0;
+  /// Sequence numbers of the events that participate in at least one
+  /// complete match, sorted and unique. Keyed by seq rather than stream
+  /// position: EventStream::Append accepts any seqs, dense or not.
+  std::vector<uint64_t> participating_seqs;
+  /// Sum of the replay engine's per-event costs (EngineStats::total_cost):
+  /// the no-shedding cost of the stream under the replay's engine options.
+  double total_cost = 0.0;
   /// Wall-clock seconds of the replay + bookkeeping (the paper reports
   /// 0.75 - 4.5 s for cost model estimation).
   double replay_seconds = 0.0;
+
+  /// True if the event with this seq is part of some complete match.
+  bool Participates(uint64_t seq) const;
 };
 
-/// \brief Extracts the event-level classifier features from an event.
-std::vector<float> ExtractFeatures(const Event& event, const Nfa& nfa);
+/// \brief Writes the event-level classifier features of an event — one
+/// value per predicate attribute of `nfa` — to `out[0, attrs)`. T is float
+/// (stored training records) or double (tree inputs); either way the value
+/// is float-rounded, so classification reads exactly the training values.
+template <typename T>
+void ExtractFeatures(const Event& event, const Nfa& nfa, T* out);
 
-/// \brief Extracts the match classifier features: the predicate attributes
-/// of the last event of every slot up to and including the match's state
-/// (fixed dimension per state; empty open components pad with -1).
-std::vector<float> ExtractStateFeatures(const PartialMatch& pm, const Nfa& nfa);
+/// \brief Writes the match classifier features to `out`, resized to
+/// (state + 1) x predicate attributes: the predicate attributes of the last
+/// event of every slot up to and including the match's state (empty open
+/// components pad with -1). A reused `out` makes extraction allocation-free.
+template <typename T>
+void ExtractStateFeatures(const PartialMatch& pm, const Nfa& nfa, std::vector<T>* out);
 
 /// \brief Replays `history` and derives OfflineStats.
 /// `use_resource_cost` selects the paper's explicit resource cost Omega

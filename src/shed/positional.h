@@ -12,10 +12,10 @@
 
 #include <vector>
 
-#include "src/cep/nfa.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
 #include "src/shed/baselines.h"
+#include "src/shed/offline_estimator.h"
 #include "src/shed/shedder.h"
 
 namespace cepshed {
@@ -30,8 +30,9 @@ class PositionalUtility {
   /// `buckets` splits the window into relative-position bins.
   PositionalUtility(int num_types, int buckets, Duration window);
 
-  /// Learns the table by replaying `history` through an engine for `nfa`.
-  Status Train(const std::shared_ptr<const Nfa>& nfa, const EventStream& history);
+  /// Learns the table from `history` and the participating-event set that
+  /// offline estimation over the same stream recorded (`stats`).
+  Status Train(const EventStream& history, const OfflineStats& stats);
 
   /// Utility of an event with the given timestamp (cyclic position).
   double Utility(int type, Timestamp ts) const;

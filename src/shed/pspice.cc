@@ -62,8 +62,8 @@ int PspiceModel::LeafOf(const PartialMatch& pm) const {
   if (pm.state < 0 || pm.state >= num_states()) return -1;
   const StateModel& sm = states_[static_cast<size_t>(pm.state)];
   if (!sm.tree.fitted()) return -1;
-  const std::vector<float> raw = ExtractStateFeatures(pm, *nfa_);
-  const std::vector<double> features(raw.begin(), raw.end());
+  thread_local std::vector<double> features;
+  ExtractStateFeatures(pm, *nfa_, &features);
   return sm.tree.PredictLeaf(features);
 }
 

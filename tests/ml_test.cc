@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/gap_statistic.h"
 #include "src/ml/kmeans.h"
 #include "src/ml/regression_tree.h"
+#include "tests/cart_oracle.h"
 
 namespace cepshed {
 namespace {
@@ -234,6 +236,159 @@ TEST(RegressionTreeTest, TrainingLeavesMatchPredictLeaf) {
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(tree.PredictLeaf(x[i]), tree.training_leaves()[i]);
   }
+}
+
+// --- Presorted CART vs the sort-per-node oracle ---------------------------
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// One random CART training set: a mix of tie-heavy small-integer columns
+/// (like DS1's ID/V with the -1 sentinel), constant columns and continuous
+/// float-rounded columns, with targets and labels that depend on them.
+struct CartCase {
+  std::vector<std::vector<double>> x;
+  std::vector<std::vector<double>> y;
+  std::vector<int> labels;
+  int max_depth = 10;
+  int min_samples_leaf = 1;
+};
+
+CartCase MakeCartCase(uint64_t seed) {
+  Rng rng(seed);
+  CartCase c;
+  // Tiny sets and the depth / leaf-size edges are drawn often enough to be
+  // covered, while most cases still grow multi-level trees.
+  static const size_t kSizes[] = {1, 2, 3, 7, 40, 150, 400, 600, 1000, 1500};
+  const size_t n = kSizes[rng.UniformInt(0, 9)];
+  const size_t d = static_cast<size_t>(rng.UniformInt(1, 6));
+  const size_t m = static_cast<size_t>(rng.UniformInt(1, 3));
+  enum Kind { kTies, kConstant, kContinuous };
+  std::vector<Kind> kinds(d);
+  std::vector<int64_t> levels(d);
+  for (size_t f = 0; f < d; ++f) {
+    const int64_t draw = rng.UniformInt(0, 9);
+    kinds[f] = draw < 6 ? kTies : (draw < 8 ? kConstant : kContinuous);
+    levels[f] = rng.UniformInt(2, 12);
+  }
+  const int classes = static_cast<int>(rng.UniformInt(1, 5));
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> row(d);
+    for (size_t f = 0; f < d; ++f) {
+      switch (kinds[f]) {
+        case kTies:
+          row[f] = static_cast<double>(rng.UniformInt(-1, levels[f]));
+          break;
+        case kConstant:
+          row[f] = 3.0;
+          break;
+        case kContinuous:
+          row[f] = static_cast<double>(static_cast<float>(rng.Normal(0, 5)));
+          break;
+      }
+    }
+    std::vector<double> target(m);
+    for (size_t t = 0; t < m; ++t) {
+      // Targets are tie-heavy too (counts, like Gamma+), sometimes constant.
+      const double signal = row[t % d] + (t == 0 ? row[(t + 1) % d] : 0.0);
+      target[t] = t == 2 ? 1.0 : std::floor(std::fabs(signal) + rng.UniformDouble(0, 2));
+    }
+    int label = static_cast<int>(std::fabs(row[0])) % classes;
+    if (rng.Bernoulli(0.1)) label = static_cast<int>(rng.UniformInt(0, classes - 1));
+    c.x.push_back(std::move(row));
+    c.y.push_back(std::move(target));
+    c.labels.push_back(label);
+  }
+  static const int kDepths[] = {0, 1, 2, 4, 6, 10, 10, 10};
+  c.max_depth = kDepths[rng.UniformInt(0, 7)];
+  const size_t leaf_choices[] = {1, 1, 2, 3, 8, 8, std::max<size_t>(1, n / 2),
+                                 n / 2 + 1, n};
+  c.min_samples_leaf = static_cast<int>(leaf_choices[rng.UniformInt(0, 8)]);
+  return c;
+}
+
+/// Rows to descend: the training rows, plus up to 200 of them with every
+/// feature moved by up to +-1, so that probes land between training values
+/// and a threshold placed elsewhere would route some of them differently.
+std::vector<std::vector<double>> ProbeRows(const CartCase& c, Rng* rng) {
+  std::vector<std::vector<double>> probes = c.x;
+  for (size_t i = 0; i < c.x.size() && i < 200; ++i) {
+    std::vector<double> row = c.x[i];
+    for (double& v : row) v += rng->UniformDouble(-1.0, 1.0);
+    probes.push_back(std::move(row));
+  }
+  return probes;
+}
+
+TEST(CartOracleTest, RegressionTreeMatchesSortPerNodeOracle) {
+  int split_cases = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const CartCase c = MakeCartCase(seed);
+    RegressionTree::Options opts;
+    opts.max_depth = c.max_depth;
+    opts.min_samples_leaf = c.min_samples_leaf;
+    RegressionTree tree;
+    ASSERT_TRUE(tree.Fit(c.x, c.y, opts).ok()) << "seed " << seed;
+    oracle::RegressionTreeOracle ref;
+    ref.Fit(c.x, c.y, opts.max_depth, opts.min_samples_leaf, opts.min_gain);
+
+    ASSERT_EQ(tree.num_nodes(), ref.nodes.size()) << "seed " << seed;
+    ASSERT_EQ(tree.num_leaves(), ref.leaves.size()) << "seed " << seed;
+    if (tree.num_leaves() > 2) ++split_cases;
+    for (size_t l = 0; l < ref.leaves.size(); ++l) {
+      const RegressionTree::Leaf& leaf = tree.leaf(static_cast<int>(l));
+      EXPECT_EQ(leaf.count, ref.leaves[l].count) << "seed " << seed;
+      ASSERT_EQ(leaf.mean.size(), ref.leaves[l].mean.size());
+      for (size_t t = 0; t < leaf.mean.size(); ++t) {
+        EXPECT_EQ(Bits(leaf.mean[t]), Bits(ref.leaves[l].mean[t]))
+            << "seed " << seed << " leaf " << l << " target " << t;
+      }
+    }
+    EXPECT_EQ(tree.training_leaves(), ref.training_leaves) << "seed " << seed;
+    Rng probe_rng(seed + 1000);
+    for (const auto& row : ProbeRows(c, &probe_rng)) {
+      const int leaf = ref.PredictLeaf(row);
+      ASSERT_EQ(tree.PredictLeaf(row), leaf) << "seed " << seed;
+      const std::vector<double>& mean = tree.Predict(row);
+      for (size_t t = 0; t < mean.size(); ++t) {
+        EXPECT_EQ(Bits(mean[t]), Bits(ref.leaves[static_cast<size_t>(leaf)].mean[t]));
+      }
+    }
+  }
+  // The generator must exercise real multi-level trees, not only stumps.
+  EXPECT_GT(split_cases, 60);
+}
+
+TEST(CartOracleTest, DecisionTreeMatchesSortPerNodeOracle) {
+  int split_cases = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const CartCase c = MakeCartCase(seed);
+    DecisionTree::Options opts;
+    opts.max_depth = c.max_depth;
+    opts.min_samples_leaf = c.min_samples_leaf;
+    DecisionTree tree;
+    ASSERT_TRUE(tree.Fit(c.x, c.labels, opts).ok()) << "seed " << seed;
+    oracle::DecisionTreeOracle ref;
+    ref.Fit(c.x, c.labels, opts.max_depth, opts.min_samples_leaf, opts.purity_stop);
+
+    ASSERT_EQ(tree.num_nodes(), ref.nodes.size()) << "seed " << seed;
+    if (tree.num_nodes() > 3) ++split_cases;
+    Rng probe_rng(seed + 2000);
+    size_t correct = 0;
+    for (size_t i = 0; i < c.x.size(); ++i) {
+      if (ref.Predict(c.x[i]) == c.labels[i]) ++correct;
+    }
+    EXPECT_EQ(Bits(tree.training_accuracy()),
+              Bits(static_cast<double>(correct) / static_cast<double>(c.x.size())))
+        << "seed " << seed;
+    for (const auto& row : ProbeRows(c, &probe_rng)) {
+      ASSERT_EQ(tree.Predict(row), ref.Predict(row)) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(split_cases, 40);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "src/shed/offline_estimator.h"
 #include "src/workload/citibike.h"
 #include "src/workload/ds1.h"
 #include "src/workload/queries.h"
@@ -14,6 +18,16 @@
 
 namespace cepshed {
 namespace {
+
+/// Trains `utility` the way ExperimentHarness::Prepare does: from the
+/// participating-event set of an offline replay of `history`.
+void TrainFromReplay(PositionalUtility* utility, const std::shared_ptr<const Nfa>& nfa,
+                     const EventStream& history) {
+  auto stats = EstimateOffline(nfa, history, /*num_slices=*/4,
+                               /*use_resource_cost=*/true);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(utility->Train(history, *stats).ok());
+}
 
 TEST(PositionalUtilityTest, LearnsTypeLevelUtilities) {
   const Schema schema = MakeDs1Schema();
@@ -25,7 +39,7 @@ TEST(PositionalUtilityTest, LearnsTypeLevelUtilities) {
   ASSERT_TRUE(nfa.ok());
 
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  TrainFromReplay(&utility, *nfa, history);
   // D never participates in Q1; A does.
   EXPECT_DOUBLE_EQ(utility.Utility(schema.EventTypeId("D"), 0), 0.0);
   double a_any = 0.0;
@@ -50,7 +64,7 @@ TEST(PositionalUtilityTest, CapturesPeriodicStructure) {
   // the generator's cycle.
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 6,
                             gen.rush_period);
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  TrainFromReplay(&utility, *nfa, history);
   const int trip = schema.EventTypeId("BikeTrip");
   double lo = 1.0;
   double hi = 0.0;
@@ -62,6 +76,69 @@ TEST(PositionalUtilityTest, CapturesPeriodicStructure) {
   EXPECT_GT(hi, lo * 1.2) << "expected positional variation across the cycle";
 }
 
+TEST(PositionalUtilityTest, MatchesEngineReplayOnSparseSeqs) {
+  // Oracle: replay the stream through an engine with a match hook and
+  // count, per (type, window-position bucket), how many events take part
+  // in a complete match. The stream is rebuilt through Append with seqs
+  // 1000, 1003, 1006, ...: participation is keyed by seq, not position.
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 6000;
+  gen.seed = 67;
+  const EventStream dense = GenerateDs1(schema, gen);
+  EventStream history(&schema);
+  for (size_t i = 0; i < dense.size(); ++i) {
+    const Event& e = *dense[i];
+    std::vector<Value> attrs;
+    for (size_t a = 0; a < e.num_attrs(); ++a) {
+      attrs.push_back(e.attr(static_cast<int>(a)));
+    }
+    ASSERT_TRUE(history
+                    .Append(std::make_shared<Event>(e.type(), e.timestamp(),
+                                                    1000 + 3 * i, std::move(attrs)))
+                    .ok());
+  }
+  auto nfa = Nfa::Compile(*queries::Q1(), &schema);
+  ASSERT_TRUE(nfa.ok());
+  const int buckets = 8;
+  const Duration window = Millis(8);
+  PositionalUtility utility(static_cast<int>(schema.num_event_types()), buckets, window);
+  TrainFromReplay(&utility, *nfa, history);
+
+  Engine engine(*nfa, EngineOptions{});
+  std::set<uint64_t> participating;
+  engine.set_match_hook([&](const Match& match, const PartialMatch*) {
+    for (const EventPtr& e : match.events) participating.insert(e->seq());
+  });
+  std::vector<Match> sink;
+  for (const EventPtr& e : history) engine.Process(e, &sink);
+  ASSERT_FALSE(participating.empty());
+
+  auto bucket_of = [&](const Event& e) {
+    const int type = e.type();
+    const Duration cyc = e.timestamp() % window;
+    const int b = std::min(static_cast<int>(cyc * buckets / window), buckets - 1);
+    return static_cast<size_t>(type * buckets + b);
+  };
+  const size_t cells = schema.num_event_types() * static_cast<size_t>(buckets);
+  std::vector<double> hits(cells, 0.0);
+  std::vector<double> totals(cells, 0.0);
+  for (const EventPtr& e : history) {
+    totals[bucket_of(*e)] += 1.0;
+    if (participating.count(e->seq()) > 0) hits[bucket_of(*e)] += 1.0;
+  }
+  std::vector<double> expected_sorted;
+  for (const EventPtr& e : history) {
+    const size_t cell = bucket_of(*e);
+    const double expected = hits[cell] / totals[cell];
+    EXPECT_EQ(utility.Utility(e->type(), e->timestamp()), expected)
+        << "seq " << e->seq();
+    expected_sorted.push_back(expected);
+  }
+  std::sort(expected_sorted.begin(), expected_sorted.end());
+  EXPECT_EQ(utility.sorted_utilities(), expected_sorted);
+}
+
 TEST(PositionalShedderTest, FixedRatioDropsApproximateFraction) {
   const Schema schema = MakeDs1Schema();
   Ds1Options gen;
@@ -71,7 +148,7 @@ TEST(PositionalShedderTest, FixedRatioDropsApproximateFraction) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  TrainFromReplay(&utility, *nfa, history);
 
   PositionalInputShedder shedder(&utility, /*fraction=*/0.25, /*seed=*/3);
   size_t dropped = 0;
@@ -93,7 +170,7 @@ TEST(PositionalShedderTest, BeatsRandomInputAtEqualRatio) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, train).ok());
+  TrainFromReplay(&utility, *nfa, train);
 
   auto run = [&](Shedder* shedder) {
     Engine engine(*nfa, EngineOptions{});
@@ -120,7 +197,7 @@ TEST(PositionalShedderTest, LatencyBoundModeActivatesUnderOverload) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, stream).ok());
+  TrainFromReplay(&utility, *nfa, stream);
 
   PositionalInputShedder shedder(&utility, /*theta=*/1.0, /*trigger_delay=*/100,
                                  /*seed=*/5);

@@ -133,6 +133,39 @@ TEST_F(ShedTest, CostModelLearnsWorthlessClass) {
   EXPECT_GT(model.Contribution(2, p_cls, 0), 0.5);
 }
 
+TEST_F(ShedTest, ClassifyPrefixMatchesClassifyAndBoundsState) {
+  auto nfa = CompileQ1();
+  auto stats = EstimateOffline(nfa, MakeStream(23, 20000), 4, true);
+  ASSERT_TRUE(stats.ok());
+  CostModel model(nfa, CostModelOptions{});
+  Rng rng(1);
+  ASSERT_TRUE(model.Train(*stats, &rng).ok());
+
+  const int a = schema_.EventTypeId("A");
+  const int b = schema_.EventTypeId("B");
+  const int c = schema_.EventTypeId("C");
+  Match match;
+  match.events = {
+      std::make_shared<Event>(a, 0, 0, std::vector<Value>{Value(1), Value(2)}),
+      std::make_shared<Event>(b, 1, 1, std::vector<Value>{Value(1), Value(2)}),
+      std::make_shared<Event>(c, 2, 2, std::vector<Value>{Value(1), Value(4)})};
+  match.slot_end = {1, 2, 3};
+  match.detected_at = 2;
+
+  // The state-2 prefix reads the same features as the partial match (A, B).
+  BindingArena arena;
+  PartialMatch pm;
+  pm.state = 2;
+  pm.Append(&arena, match.events[0]);
+  pm.CloseSlot();
+  pm.Append(&arena, match.events[1]);
+  pm.CloseSlot();
+  EXPECT_EQ(model.ClassifyPrefix(match, 2), model.Classify(pm));
+  // The full match is no partial-match state of Q1's three: default class.
+  ASSERT_EQ(static_cast<size_t>(nfa->num_states()), match.slot_end.size());
+  EXPECT_EQ(model.ClassifyPrefix(match, 3), 0);
+}
+
 TEST_F(ShedTest, CostModelEstimatesDecayWithAgeSlice) {
   auto nfa = CompileQ1();
   auto stats = EstimateOffline(nfa, MakeStream(24, 15000), 4, true);
