@@ -15,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/query/parser.h"
+#include "src/runtime/event_step.h"
 #include "src/workload/csv.h"
 #include "src/workload/csv_mmap.h"
 #include "src/workload/ds1.h"
@@ -230,7 +231,13 @@ void BM_EngineQ1PredVm(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineQ1PredVm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_EngineQ1(benchmark::State& state) {
+/// The metrics record-path overhead pair: the whole Q1 pipeline through
+/// the per-event step every driver runs (src/runtime/event_step.h), with
+/// its obs slot detached (BM_EngineQ1) or attached (BM_EngineQ1Metrics:
+/// counters, cost histogram, matches delta, footprint and expiry-wheel
+/// gauges). The arg toggles the join index. The CI overhead gate compares
+/// the two families per arg and fails above 5%.
+void RunEngineQ1Step(benchmark::State& state, obs::ShardObs* obs) {
   const Schema schema = MakeDs1Schema();
   Ds1Options gen;
   gen.num_events = 20000;
@@ -240,49 +247,23 @@ void BM_EngineQ1(benchmark::State& state) {
   opts.use_join_index = state.range(0) != 0;
   for (auto _ : state) {
     Engine engine(*nfa, opts);
+    EventStep step(&engine, /*shedder=*/nullptr, /*guard=*/nullptr,
+                   LatencyMonitor::Options{}, obs);
     std::vector<Match> out;
-    for (const EventPtr& e : stream) engine.Process(e, &out);
+    for (const EventPtr& e : stream) step.Run(e, &out);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.size()));
 }
+
+void BM_EngineQ1(benchmark::State& state) { RunEngineQ1Step(state, nullptr); }
 BENCHMARK(BM_EngineQ1)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// BM_EngineQ1 with the full per-event obs record path enabled — exactly
-/// what ShedRunner/ShardState add per event: two counters, the cost
-/// histogram, and the matches-emitted delta. The CI overhead gate compares
-/// this against BM_EngineQ1 (same Arg) and fails above 5%.
 void BM_EngineQ1Metrics(benchmark::State& state) {
-  const Schema schema = MakeDs1Schema();
-  Ds1Options gen;
-  gen.num_events = 20000;
-  const EventStream stream = GenerateDs1(schema, gen);
-  auto nfa = Nfa::Compile(*queries::Q1("4ms"), &schema);
-  EngineOptions opts;
-  opts.use_join_index = state.range(0) != 0;
-  obs::MetricsRegistry registry;
-  registry.EnsureShards(1);
-  obs::ShardObs* obs = registry.shard(0);
-  for (auto _ : state) {
-    Engine engine(*nfa, opts);
-    std::vector<Match> out;
-    size_t matches_seen = 0;
-    for (const EventPtr& e : stream) {
-      const double cost = engine.Process(e, &out);
-      obs->events_routed.Add();
-      obs->events_processed.Add();
-      obs->event_cost.Record(cost);
-      if (out.size() != matches_seen) {
-        obs->matches_emitted.Add(out.size() - matches_seen);
-        matches_seen = out.size();
-      }
-    }
-    benchmark::DoNotOptimize(out.size());
-    benchmark::DoNotOptimize(obs->events_processed.Load());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
+  obs::MetricsRegistry registry(1);
+  RunEngineQ1Step(state, registry.shard(0));
+  benchmark::DoNotOptimize(registry.shard(0)->events_processed.Load());
 }
 BENCHMARK(BM_EngineQ1Metrics)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -725,7 +725,7 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
   return cost;
 }
 
-void Engine::Vacuum(Timestamp now) {
+void Engine::Vacuum(Timestamp now, uint64_t seq) {
   // Mirror the per-event sweep's window semantics. Count-window queries
   // alias `window()` to the count, so the time-based EvictExpired would
   // misread the count as a duration and evict matches that are still
@@ -733,10 +733,10 @@ void Engine::Vacuum(Timestamp now) {
   const uint64_t count_window = nfa_->query().count_window;
   size_t evicted = 0;
   if (store_.wheel_enabled()) {
-    evicted = store_.ReapExpired(now, last_seq_);
+    evicted = store_.ReapExpired(now, seq);
   } else if (count_window > 0) {
     auto sweep = [&](PartialMatch* pm) {
-      if (pm->ExpiredByCount(last_seq_, count_window)) {
+      if (pm->ExpiredByCount(seq, count_window)) {
         store_.Kill(pm);
         ++evicted;
       }

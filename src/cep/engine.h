@@ -260,7 +260,11 @@ class Engine {
   /// Forces an expiry sweep + compaction + index rebuild now. Uses the
   /// query's count-based window when one is declared (matching the
   /// per-event sweep) instead of misreading the count as a duration.
-  void Vacuum(Timestamp now);
+  /// Count windows expire against the latest processed event's sequence
+  /// number; the two-argument form takes the stream position explicitly
+  /// (a watermark from an event that was dropped, not processed).
+  void Vacuum(Timestamp now) { Vacuum(now, last_seq_); }
+  void Vacuum(Timestamp now, uint64_t seq);
 
   /// Rebuilds the join indexes from the live store contents (required
   /// after an external compaction).

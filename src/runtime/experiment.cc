@@ -79,17 +79,7 @@ double ExperimentHarness::BaselineLatency(LatencyStat stat) const {
 ExperimentResult ExperimentHarness::RunWith(Shedder* shedder, CostModel* model,
                                             size_t pm_sample_stride) {
   Engine engine(nfa_, options_.engine);
-  if (model != nullptr) {
-    engine.set_classifier(
-        [model](const PartialMatch& pm) { return model->Classify(pm); });
-    engine.set_pm_created_hook(
-        [model](const PartialMatch& pm, const PartialMatch* parent) {
-          model->OnPmCreated(pm, parent, pm.last_ts);
-        });
-    engine.set_match_hook([model](const Match& m, const PartialMatch* parent) {
-      model->OnMatch(m, parent, m.detected_at);
-    });
-  }
+  if (model != nullptr) model->AttachTo(&engine);
   ShedRunner runner(&engine, shedder, options_.latency);
   if (options_.metrics != nullptr) {
     options_.metrics->EnsureShards(1);

@@ -2,7 +2,7 @@
 
 #include "src/runtime/multi_query.h"
 
-#include "src/shed/controller.h"
+#include "src/runtime/event_step.h"
 #include "src/shed/offline_estimator.h"
 #include "src/shed/registry.h"
 
@@ -79,10 +79,7 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
     std::unique_ptr<Engine> engine;
     std::unique_ptr<CostModel> model;
     std::unique_ptr<Shedder> shedder;
-    std::unique_ptr<LatencyMonitor> monitor;
-    obs::ShardObs* obs = nullptr;
-    size_t obs_matches_seen = 0;
-    double total_cost = 0.0;
+    std::unique_ptr<EventStep> step;
   };
   std::vector<PerQuery> running(queries_.size());
   if (metrics_ != nullptr) metrics_->EnsureShards(static_cast<int>(queries_.size()));
@@ -116,16 +113,7 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
     } else {
       query_run.model = std::make_unique<CostModel>(*models_[q]);
       CostModel* model = query_run.model.get();
-      query_run.engine->set_classifier(
-          [model](const PartialMatch& pm) { return model->Classify(pm); });
-      query_run.engine->set_pm_created_hook(
-          [model](const PartialMatch& pm, const PartialMatch* parent) {
-            model->OnPmCreated(pm, parent, pm.last_ts);
-          });
-      query_run.engine->set_match_hook(
-          [model](const Match& m, const PartialMatch* parent) {
-            model->OnMatch(m, parent, m.detected_at);
-          });
+      model->AttachTo(query_run.engine.get());
       if (theta > 0.0) {
         HybridOptions opts = shed_options_;
         opts.theta = theta_q;
@@ -135,13 +123,16 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
         query_run.shedder->Bind(query_run.engine.get());
       }
     }
+    obs::ShardObs* obs = nullptr;
     if (metrics_ != nullptr) {
-      query_run.obs = metrics_->shard(static_cast<int>(q));
+      obs = metrics_->shard(static_cast<int>(q));
       if (query_run.shedder != nullptr) {
-        query_run.shedder->set_obs(query_run.obs, static_cast<int>(q));
+        query_run.shedder->set_obs(obs, static_cast<int>(q));
       }
     }
-    query_run.monitor = std::make_unique<LatencyMonitor>();
+    query_run.step = std::make_unique<EventStep>(
+        query_run.engine.get(), query_run.shedder.get(), /*guard=*/nullptr,
+        LatencyMonitor::Options{}, obs, static_cast<int>(q));
     if (queries_[q].query.name.empty()) {
       result.queries[q].name = "q";
       result.queries[q].name += std::to_string(q);
@@ -152,38 +143,16 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
 
   for (const EventPtr& event : stream) {
     for (size_t q = 0; q < queries_.size(); ++q) {
-      PerQuery& query_run = running[q];
-      double cost;
-      if (query_run.shedder != nullptr && query_run.shedder->FilterEvent(*event)) {
-        cost = ShedRunner::kDroppedEventCost;
-      } else {
-        cost = query_run.engine->Process(event, &result.queries[q].matches);
-        if (query_run.obs != nullptr) {
-          query_run.obs->events_processed.Add();
-          const size_t n = result.queries[q].matches.size();
-          if (n != query_run.obs_matches_seen) {
-            query_run.obs->matches_emitted.Add(n - query_run.obs_matches_seen);
-            query_run.obs_matches_seen = n;
-          }
-        }
-      }
-      if (query_run.obs != nullptr) {
-        query_run.obs->events_routed.Add();
-        query_run.obs->event_cost.Record(cost);
-      }
-      query_run.monitor->Record(cost);
-      query_run.total_cost += cost;
-      if (query_run.shedder != nullptr) {
-        query_run.shedder->AfterEvent(event->timestamp(), query_run.monitor->Current());
-      }
+      running[q].step->Run(event, &result.queries[q].matches);
     }
   }
 
   for (size_t q = 0; q < queries_.size(); ++q) {
     PerQueryResult& out = result.queries[q];
-    out.avg_latency = stream.empty()
-                          ? 0.0
-                          : running[q].total_cost / static_cast<double>(stream.size());
+    const EventStep& step = *running[q].step;
+    out.avg_latency = step.monitor().OverallAverage();
+    out.bound_checked = step.counts().bound_checked;
+    out.bound_violations = step.counts().bound_violations;
     if (running[q].shedder != nullptr) {
       out.dropped_events = running[q].shedder->events_dropped();
       out.shed_pms = running[q].shedder->pms_shed();

@@ -17,7 +17,6 @@
 
 #include "src/cep/engine.h"
 #include "src/obs/metrics.h"
-#include "src/runtime/latency_monitor.h"
 #include "src/runtime/metrics.h"
 #include "src/shed/cost_model.h"
 #include "src/shed/hspice.h"
@@ -42,6 +41,9 @@ struct PerQueryResult {
   double avg_latency = 0.0;     ///< this query's per-event cost share
   uint64_t dropped_events = 0;  ///< events its rho_I discarded
   uint64_t shed_pms = 0;
+  /// Bound-violation accounting against the query's budget slice.
+  uint64_t bound_checked = 0;
+  uint64_t bound_violations = 0;
 };
 
 /// \brief Outcome of a multi-query run.

@@ -8,8 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/runtime/event_step.h"
 #include "src/runtime/ring_queue.h"
-#include "src/shed/controller.h"
 
 namespace cepshed {
 
@@ -307,8 +307,8 @@ void ShardRuntime::RouteEvent(const Event& event, std::vector<int>* out) const {
   }
 }
 
-/// All state one shard's worker touches. Engines, monitors, shedders, and
-/// guards are confined to the owning worker thread between queue handoff
+/// All state one shard's worker touches. Engines, shedders, guards, and
+/// the step are confined to the owning worker thread between queue handoff
 /// points; the join at the end of Run publishes the results to the caller.
 /// The router additionally writes events_rejected (a member the worker
 /// never touches) and takes the shard over entirely once the worker thread
@@ -317,17 +317,12 @@ struct ShardRuntime::ShardState {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<Shedder> shedder;
   std::unique_ptr<OverloadGuard> guard;
+  /// The shared per-event step over engine, shedder, and guard.
+  std::unique_ptr<EventStep> step;
   /// Observability slot of this shard (not owned; null = disabled).
   obs::ShardObs* obs = nullptr;
-  /// Matches already counted into obs->matches_emitted.
-  size_t obs_matches_seen = 0;
-  /// Store expiry-wheel totals already published to the obs counters.
-  uint64_t obs_expiry_reaped_seen = 0;
-  uint64_t obs_wheel_cascades_seen = 0;
   /// Not owned; null when no faults target this run.
   const FaultInjector* faults = nullptr;
-  LatencyMonitor monitor;
-  size_t monitor_window = 0;
   std::vector<Match> matches;
   ShardResult result;
   std::unique_ptr<RingQueue<EventPtr>> queue;
@@ -366,10 +361,11 @@ struct ShardRuntime::ShardState {
   std::atomic<int> guard_level_pub{0};
   /// Restarts spent so far (router-owned; compared to the budget).
   int restarts = 0;
-  /// RunSequential death mirroring: once the restart budget is spent the
-  /// rest of every buffer drains as lost. Persists across the buffer
-  /// drains that resize anchors split the run into.
-  bool seq_draining = false;
+  /// Inline consumption (RunSequential, FinishDeadShard) after the restart
+  /// budget is spent: the rest of the shard's deliveries drain as lost.
+  /// Persists across the buffer drains that resize anchors split
+  /// RunSequential into.
+  bool draining = false;
   bool finished = false;
   /// Worker-thread exit protocol: the worker sets clean_exit (after a
   /// normal drain + Finish) and then worker_exited with release order; the
@@ -378,8 +374,16 @@ struct ShardRuntime::ShardState {
   std::atomic<bool> worker_exited{false};
   std::thread worker;
 
-  explicit ShardState(LatencyMonitor::Options latency)
-      : monitor(latency), monitor_window(latency.window) {}
+  /// Delivered events lost unprocessed (death, abandonment): routed to
+  /// the shard, never consumed.
+  void CountLost(uint64_t n) {
+    result.events_routed += n;
+    result.events_lost += n;
+    if (obs != nullptr) {
+      obs->events_routed.Add(n);
+      obs->events_lost.Add(n);
+    }
+  }
 
   /// Handles one delivered event. Returns true when an injected death
   /// fault fires: the event is counted lost and the caller must terminate
@@ -388,87 +392,51 @@ struct ShardRuntime::ShardState {
     ActiveFaults injected;
     if (faults != nullptr) injected = faults->OnConsume(shard_id, consumed);
     ++consumed;
-    ++result.events_routed;
-    if (obs != nullptr) obs->events_routed.Add();
     if (injected.die) {
-      ++result.events_lost;
-      if (obs != nullptr) obs->events_lost.Add();
+      CountLost(1);
       handled.fetch_add(1, std::memory_order_release);
       return true;
     }
     if (injected.stall_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(injected.stall_us));
     }
-    double cost;
-    if (guard != nullptr && guard->ShouldDropInput(event->seq())) {
-      // Guard rho_I: counted as a drop like any other input shedding.
-      ++result.events_dropped;
-      cost = ShedRunner::kDroppedEventCost;
-      if (obs != nullptr) {
-        obs->events_dropped_guard.Add();
-        obs->audit.Record(obs::AuditKind::kGuardDrop,
-                          static_cast<uint8_t>(shard_id), event->timestamp(),
-                          -1, monitor.Current(), event->seq());
-      }
-    } else if (shedder != nullptr && shedder->FilterEvent(*event)) {
-      ++result.events_dropped;
-      cost = ShedRunner::kDroppedEventCost;
-    } else {
-      cost = engine->Process(event, &matches);
-      ++result.events_processed;
-      if (obs != nullptr) {
-        obs->events_processed.Add();
-        if (matches.size() != obs_matches_seen) {
-          obs->matches_emitted.Add(matches.size() - obs_matches_seen);
-          obs_matches_seen = matches.size();
-        }
-      }
+    StepSignals signals;
+    signals.cost_multiplier = injected.cost_multiplier;
+    signals.clock_skew = injected.clock_skew_us;
+    if (guard != nullptr && queue != nullptr) {
+      signals.queue_size = queue->SizeApprox();
+      signals.queue_capacity = queue->capacity();
     }
-    if (obs != nullptr) obs->event_cost.Record(cost * injected.cost_multiplier);
-    monitor.Record(cost * injected.cost_multiplier);
-    if (shedder != nullptr) {
-      const double theta = shedder->theta();
-      if (theta > 0.0 && monitor.Count() >= monitor_window) {
-        ++result.bound_checked;
-        if (monitor.Current() > theta) ++result.bound_violations;
-      }
-      shedder->AfterEvent(event->timestamp(), monitor.Current());
-    }
+    step->Run(event, &matches, signals);
     if (guard != nullptr) {
-      guard->Observe(monitor.Current(), queue != nullptr ? queue->SizeApprox() : 0,
-                     queue != nullptr ? queue->capacity() : 0,
-                     event->timestamp() + injected.clock_skew_us);
       guard_level_pub.store(static_cast<int>(guard->level()),
                             std::memory_order_relaxed);
     }
-    if (obs != nullptr) {
-      // Footprint gauges live here — code shared by Run and RunSequential —
-      // so the parallel/sequential snapshot-equality property holds for
-      // them too (engine state is a pure function of the shard substream).
-      obs->state_bytes.Set(static_cast<int64_t>(engine->ApproxStateBytes()));
-      obs->arena_live_bytes.Set(
-          static_cast<int64_t>(engine->store().arena().LiveBytes()));
-      obs->arena_capacity_bytes.Set(
-          static_cast<int64_t>(engine->store().arena().CapacityBytes()));
-      obs->flat_cache_entries.Set(static_cast<int64_t>(engine->FlatCacheSize()));
-      obs->wheel_entries.Set(static_cast<int64_t>(engine->store().WheelEntries()));
-      // Expiry-wheel counters are maintained by the store as totals;
-      // publish the delta since the last consume (same pattern as
-      // obs_matches_seen) so the obs counter stays monotone across
-      // worker restarts, which hand the same engine to a fresh worker.
-      const uint64_t reaped = engine->store().ExpiryReapedTotal();
-      if (reaped > obs_expiry_reaped_seen) {
-        obs->expiry_reaped.Add(reaped - obs_expiry_reaped_seen);
-        obs_expiry_reaped_seen = reaped;
-      }
-      const uint64_t cascades = engine->store().WheelCascadesTotal();
-      if (cascades > obs_wheel_cascades_seen) {
-        obs->wheel_cascades.Add(cascades - obs_wheel_cascades_seen);
-        obs_wheel_cascades_seen = cascades;
-      }
-    }
     handled.fetch_add(1, std::memory_order_release);
     return false;
+  }
+
+  /// Charges one worker death against the restart budget: a restart while
+  /// budget remains, else abandonment (inline consumption then drains the
+  /// rest as lost).
+  void ChargeDeath(int max_restarts) {
+    if (restarts < max_restarts) {
+      ++restarts;
+      ++result.worker_restarts;
+    } else {
+      result.abandoned = true;
+      draining = true;
+    }
+  }
+
+  /// Inline consumption with the parallel path's death semantics: a death
+  /// fault restarts the (virtual) worker or abandons the shard.
+  void ConsumeInline(const EventPtr& event, int max_restarts) {
+    if (draining) {
+      CountLost(1);
+    } else if (Consume(event)) {
+      ChargeDeath(max_restarts);
+    }
   }
 
   /// Worker-thread body (also the entry point of a restarted worker).
@@ -514,7 +482,13 @@ struct ShardRuntime::ShardState {
   void Finish() {
     if (finished) return;
     finished = true;
-    result.avg_latency = monitor.OverallAverage();
+    const EventStep::Counts& counts = step->counts();
+    result.events_routed += counts.events;
+    result.events_processed = counts.processed;
+    result.events_dropped = counts.dropped;
+    result.bound_checked = counts.bound_checked;
+    result.bound_violations = counts.bound_violations;
+    result.avg_latency = step->monitor().OverallAverage();
     result.shed_pms = shedder != nullptr ? shedder->pms_shed() : 0;
     if (guard != nullptr) {
       const OverloadGuard::Stats& g = guard->stats();
@@ -552,94 +526,60 @@ struct ShardRuntime::ShardState {
     }
     matches.resize(kept);
   }
+  /// Live chain-node bytes still homed in the arenas of shards at or past
+  /// `live` (retired engines whose chains recipients still reference).
+  static int64_t LegacyArenaBytes(const std::vector<std::unique_ptr<ShardState>>& shards,
+                                  int live) {
+    int64_t legacy = 0;
+    for (size_t i = static_cast<size_t>(live); i < shards.size(); ++i) {
+      legacy += static_cast<int64_t>(shards[i]->engine->store().arena().LiveBytes());
+    }
+    return legacy;
+  }
 };
 
 void ShardRuntime::ReviveOrAbandon(ShardState* s) const {
   s->worker.join();
   if (s->clean_exit) return;  // normal drain raced the timeout; nothing to do
-  if (s->restarts < opts_.max_worker_restarts) {
-    ++s->restarts;
-    ++s->result.worker_restarts;
-    s->worker_exited.store(false, std::memory_order_relaxed);
-    // The restarted worker resumes the same queue and engine: only the
-    // death-poisoned event is lost, so recall degrades by exactly one
-    // event per death.
-    s->worker = std::thread(&ShardState::WorkerMain, s);
-  } else {
+  s->ChargeDeath(opts_.max_worker_restarts);
+  if (s->result.abandoned) {
     AbandonShard(s);
+    return;
   }
+  s->worker_exited.store(false, std::memory_order_relaxed);
+  // The restarted worker resumes the same queue and engine: only the
+  // death-poisoned event is lost, so recall degrades by exactly one event
+  // per death.
+  s->worker = std::thread(&ShardState::WorkerMain, s);
 }
 
 void ShardRuntime::AbandonShard(ShardState* s) const {
-  s->result.abandoned = true;
   s->queue->Close();
   // The remainder of the batch the dead worker popped but never consumed
   // drains first — those events already left the queue, so the queue loop
   // below would otherwise silently drop them from the accounting.
-  for (size_t i = s->batch_pos; i < s->batch.size(); ++i) {
-    ++s->result.events_routed;
-    ++s->result.events_lost;
-    if (s->obs != nullptr) {
-      s->obs->events_routed.Add();
-      s->obs->events_lost.Add();
-    }
-  }
+  s->CountLost(s->batch.size() - s->batch_pos);
   s->batch.clear();
   s->batch_pos = 0;
   EventPtr event;
-  while (s->queue->Pop(&event)) {
-    ++s->result.events_routed;
-    ++s->result.events_lost;
-    if (s->obs != nullptr) {
-      s->obs->events_routed.Add();
-      s->obs->events_lost.Add();
-    }
-  }
+  while (s->queue->Pop(&event)) s->CountLost(1);
   s->Finish();
 }
 
 void ShardRuntime::FinishDeadShard(ShardState* s) const {
-  bool draining;
-  if (s->restarts < opts_.max_worker_restarts) {
-    ++s->restarts;
-    ++s->result.worker_restarts;
-    draining = false;
-  } else {
-    s->result.abandoned = true;
-    draining = true;
-  }
-  const auto deliver = [&](const EventPtr& event) {
-    if (draining) {
-      ++s->result.events_routed;
-      ++s->result.events_lost;
-      if (s->obs != nullptr) {
-        s->obs->events_routed.Add();
-        s->obs->events_lost.Add();
-      }
-      return;
-    }
-    if (s->Consume(event)) {
-      if (s->restarts < opts_.max_worker_restarts) {
-        ++s->restarts;
-        ++s->result.worker_restarts;
-      } else {
-        s->result.abandoned = true;
-        draining = true;
-      }
-    }
-  };
+  s->ChargeDeath(opts_.max_worker_restarts);
   // The dead worker's unconsumed batch remainder comes before the queue:
   // those events were popped first, and the engine's still-active batch
   // masks cover exactly these events, so Consume keeps the batched fast
   // path (further injected deaths are honored mid-remainder).
   while (s->batch_pos < s->batch.size()) {
     const size_t i = s->batch_pos++;
-    deliver(s->batch[i]);
+    s->ConsumeInline(s->batch[i], opts_.max_worker_restarts);
   }
   s->batch.clear();
   s->batch_pos = 0;
   EventPtr event;
-  while (s->queue->Pop(&event)) deliver(event);
+  while (s->queue->Pop(&event)) s->ConsumeInline(event, opts_.max_worker_restarts);
   s->Finish();
 }
 
@@ -695,10 +635,9 @@ struct ShardRuntime::ResizeScript {
   }
 };
 
-void ShardRuntime::MigrateState(std::vector<std::unique_ptr<ShardState>>* shards,
-                                int old_live, int new_live,
-                                ShardRunResult* result) const {
-  const int attr = opts_.partition_attr;
+std::vector<MigrationFlow> ShardRuntime::MigrateState(
+    const std::vector<Engine*>& engines, const std::vector<obs::ShardObs*>& obs,
+    int partition_attr, int old_live, int new_live) {
   // Donors are the previously live shards — including retiring ones, whose
   // entire state leaves because ShardOfKey under new_live never maps to an
   // id >= new_live. Growing shards start empty: a shard that retired
@@ -706,39 +645,39 @@ void ShardRuntime::MigrateState(std::vector<std::unique_ptr<ShardState>>* shards
   // recipient so adoption happens in donor order 0..old_live-1 — a
   // deterministic function of the engines' states, independent of thread
   // scheduling.
-  std::vector<std::vector<MigratedState>> transfer(shards->size());
+  std::vector<std::vector<MigratedState>> transfer(engines.size());
+  std::vector<MigrationFlow> flows;
   for (int d = 0; d < old_live; ++d) {
-    ShardState& donor = *(*shards)[static_cast<size_t>(d)];
+    obs::ShardObs* donor_obs = obs[static_cast<size_t>(d)];
     for (int r = 0; r < new_live; ++r) {
       if (r == d) continue;
-      MigratedState moved = donor.engine->ExtractPartialMatches(
-          [attr, r, new_live](const PartialMatch& pm) {
+      MigratedState moved = engines[static_cast<size_t>(d)]->ExtractPartialMatches(
+          [partition_attr, r, new_live](const PartialMatch& pm) {
             // Partition correlation guarantees every bound event of the
             // match (or witness) carries the same key, so any one event
             // determines the owner. A chainless match cannot exist live
             // in the store; keep it put defensively.
             const Event* e = pm.LastEvent();
             if (e == nullptr) return false;
-            return ShardOfKey(e->attr(attr), new_live) == r;
+            return ShardOfKey(e->attr(partition_attr), new_live) == r;
           });
       if (moved.empty()) continue;
-      const uint64_t n = moved.size();
-      donor.result.pms_migrated_out += n;
-      (*shards)[static_cast<size_t>(r)]->result.pms_migrated_in += n;
-      result->migrated_pms += n;
-      result->migrated_bytes += moved.approx_bytes;
-      if (donor.obs != nullptr) {
-        donor.obs->migrated_pms.Add(n);
-        donor.obs->migrated_bytes.Add(moved.approx_bytes);
+      const MigrationFlow flow{d, r, static_cast<uint64_t>(moved.size()),
+                               static_cast<uint64_t>(moved.approx_bytes)};
+      if (donor_obs != nullptr) {
+        donor_obs->migrated_pms.Add(flow.pms);
+        donor_obs->migrated_bytes.Add(flow.bytes);
       }
+      flows.push_back(flow);
       transfer[static_cast<size_t>(r)].push_back(std::move(moved));
     }
   }
   for (size_t r = 0; r < transfer.size(); ++r) {
     for (MigratedState& moved : transfer[r]) {
-      (*shards)[r]->engine->AdoptPartialMatches(std::move(moved));
+      engines[r]->AdoptPartialMatches(std::move(moved));
     }
   }
+  return flows;
 }
 
 void ShardRuntime::RecordResize(std::vector<std::unique_ptr<ShardState>>* shards,
@@ -753,12 +692,7 @@ void ShardRuntime::RecordResize(std::vector<std::unique_ptr<ShardState>>* shards
     obs0->migrations_total.Add();
     obs0->migration_us.Record(pause_us);
     obs0->live_shards.Set(new_live);
-    int64_t legacy = 0;
-    for (size_t i = static_cast<size_t>(new_live); i < shards->size(); ++i) {
-      legacy +=
-          static_cast<int64_t>((*shards)[i]->engine->store().arena().LiveBytes());
-    }
-    obs0->arena_legacy_bytes.Set(legacy);
+    obs0->arena_legacy_bytes.Set(ShardState::LegacyArenaBytes(*shards, new_live));
     obs0->audit.Record(obs::AuditKind::kResize, 0, now,
                        old_live | (new_live << 8), 0.0, seq);
   }
@@ -767,29 +701,27 @@ void ShardRuntime::RecordResize(std::vector<std::unique_ptr<ShardState>>* shards
 
 void ShardRuntime::ExecuteResize(std::vector<std::unique_ptr<ShardState>>* shards,
                                  int new_live, uint64_t seq, Timestamp now,
-                                 ShardRunResult* result) {
+                                 ShardRunResult* result,
+                                 const std::function<void()>& quiesce) {
   const int old_live = live_shards_;
   if (new_live == old_live) return;
   const auto t0 = std::chrono::steady_clock::now();
   // Seal: stop routing (the caller already holds the router thread) and
-  // drain every live shard to quiescence. A worker that dies mid-drain is
-  // restarted (it resumes the same queue; only the poisoned event is
-  // lost) or abandoned (its backlog drains as lost but its engine remains
-  // extractable) — either way the barrier resolves and the migration's
-  // loss accounting stays exact.
-  for (int i = 0; i < old_live; ++i) {
-    ShardState& s = *(*shards)[static_cast<size_t>(i)];
-    for (;;) {
-      if (s.result.abandoned) break;
-      if (s.handled.load(std::memory_order_acquire) == s.pushed) break;
-      if (s.worker_exited.load(std::memory_order_acquire)) {
-        ReviveOrAbandon(&s);
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+  // bring every live shard to rest.
+  quiesce();
+  std::vector<Engine*> engines;
+  std::vector<obs::ShardObs*> obs;
+  for (const std::unique_ptr<ShardState>& s : *shards) {
+    engines.push_back(s->engine.get());
+    obs.push_back(s->obs);
   }
-  MigrateState(shards, old_live, new_live, result);
+  for (const MigrationFlow& flow :
+       MigrateState(engines, obs, opts_.partition_attr, old_live, new_live)) {
+    (*shards)[static_cast<size_t>(flow.donor)]->result.pms_migrated_out += flow.pms;
+    (*shards)[static_cast<size_t>(flow.recipient)]->result.pms_migrated_in += flow.pms;
+    result->migrated_pms += flow.pms;
+    result->migrated_bytes += flow.bytes;
+  }
   live_shards_ = new_live;
   const double pause_us = std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)
@@ -837,30 +769,29 @@ void ShardRuntime::Merge(std::vector<std::unique_ptr<ShardState>>* shards,
   for (const Keyed& k : keyed) result->matches.push_back(std::move(*k.match));
 }
 
-Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
-                                         const ShedderFactory& make_shedder) {
-  CEPSHED_RETURN_NOT_OK(ValidatePlan());
+const FaultInjector* ShardRuntime::ScheduledFaults() const {
   // An empty fault schedule costs nothing: the per-event hook stays null.
-  const FaultInjector* faults =
-      (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
-  // Elastic runs provision workers, queues, and metrics slots for the
-  // maximum shard count up front; shards beyond the live count just park
-  // in Pop on their empty queues until a grow routes to them (and after a
-  // retire, until re-grown). Thread spawn never happens mid-stream.
+  return (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
+}
+
+std::vector<std::unique_ptr<ShardRuntime::ShardState>> ShardRuntime::BuildShards(
+    const ShedderFactory& make_shedder, bool with_queues) {
+  // Elastic runs provision engines (and, in Run, workers, queues) and
+  // metrics slots for the maximum shard count up front; shards beyond the
+  // live count just park until a grow routes to them (and after a retire,
+  // until re-grown). Nothing is constructed mid-stream.
   const int total_shards = EffectiveMaxShards();
   live_shards_ = opts_.num_shards;
+  if (opts_.metrics != nullptr) opts_.metrics->EnsureShards(total_shards);
   std::vector<std::unique_ptr<ShardState>> shards;
   shards.reserve(static_cast<size_t>(total_shards));
-  if (opts_.metrics != nullptr) {
-    opts_.metrics->EnsureShards(total_shards);
-  }
   for (int i = 0; i < total_shards; ++i) {
-    auto s = std::make_unique<ShardState>(opts_.latency);
+    auto s = std::make_unique<ShardState>();
     s->slice_filter = opts_.routing == ShardRouting::kWindowSlice;
     s->shard_id = i;
     s->num_shards = opts_.num_shards;
     s->slice_stride = SliceStride();
-    s->faults = faults;
+    s->faults = ScheduledFaults();
     if (opts_.metrics != nullptr) s->obs = opts_.metrics->shard(i);
     s->engine = std::make_unique<Engine>(nfa_, opts_.engine);
     if (make_shedder) {
@@ -875,15 +806,45 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       s->guard->Attach(s->engine.get());
       if (s->obs != nullptr) s->guard->set_obs(s->obs, i);
     }
-    s->queue = std::make_unique<RingQueue<EventPtr>>(opts_.queue_capacity);
+    s->step = std::make_unique<EventStep>(s->engine.get(), s->shedder.get(),
+                                          s->guard.get(), opts_.latency, s->obs, i);
+    if (with_queues) {
+      s->queue = std::make_unique<RingQueue<EventPtr>>(opts_.queue_capacity);
+    }
     shards.push_back(std::move(s));
   }
-
-  ShardRunResult result;
-  result.final_live_shards = live_shards_;
   if (Elastic() && opts_.metrics != nullptr) {
     shards[0]->obs->live_shards.Set(live_shards_);
   }
+  return shards;
+}
+
+Result<ShardRunResult> ShardRuntime::Conclude(
+    std::vector<std::unique_ptr<ShardState>>* shards, ShardRunResult result) const {
+  result.final_live_shards = live_shards_;
+  if (Elastic() && opts_.metrics != nullptr) {
+    // Post-run legacy-arena reading: chains migrated out of retired shards
+    // drain back into their home arenas as recipients expire them, so this
+    // is the value the soak harness bounds.
+    (*shards)[0]->obs->arena_legacy_bytes.Set(ShardState::LegacyArenaBytes(*shards, live_shards_));
+  }
+  Merge(shards, &result);
+  if (result.shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
+      result.total_events > 0) {
+    return Status::Unavailable(
+        "every shard worker died and exhausted its restart budget");
+  }
+  return result;
+}
+
+Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
+                                         const ShedderFactory& make_shedder) {
+  CEPSHED_RETURN_NOT_OK(ValidatePlan());
+  const FaultInjector* faults = ScheduledFaults();
+  std::vector<std::unique_ptr<ShardState>> shards =
+      BuildShards(make_shedder, /*with_queues=*/true);
+
+  ShardRunResult result;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::unique_ptr<ShardState>& s : shards) {
     s->worker = std::thread(&ShardState::WorkerMain, s.get());
@@ -958,6 +919,27 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       if (!stage[t].empty()) flush_shard(static_cast<int>(t));
     }
   };
+  // The parallel drain barrier: every live shard has handled everything
+  // delivered to it. Staged events reach the queues first — the barrier
+  // proves quiescence via handled == pushed, and pushed already counts
+  // them. A worker that dies mid-drain is restarted (it resumes the same
+  // queue; only the poisoned event is lost) or abandoned (its backlog
+  // drains as lost but its engine remains extractable) — either way the
+  // barrier resolves and the migration's loss accounting stays exact.
+  const auto drain = [&] {
+    flush_all();
+    for (int i = 0; i < live_shards_; ++i) {
+      ShardState& s = *shards[static_cast<size_t>(i)];
+      while (!s.result.abandoned &&
+             s.handled.load(std::memory_order_acquire) != s.pushed) {
+        if (s.worker_exited.load(std::memory_order_acquire)) {
+          ReviveOrAbandon(&s);
+        } else {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+    }
+  };
   for (const EventPtr& event : stream) {
     ++result.total_events;
     // Dynamic elasticity: sample the pressure signals every check_every
@@ -982,12 +964,8 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       const int delta = controller.Decide(event->seq(), sig, live_shards_,
                                           EffectiveMaxShards());
       if (delta != 0) {
-        // Staged events must reach the queues before the drain barrier:
-        // the barrier proves quiescence via handled == pushed, and pushed
-        // already counts them.
-        flush_all();
         ExecuteResize(&shards, ClampLiveShards(live_shards_ + delta),
-                      event->seq(), event->timestamp(), &result);
+                      event->seq(), event->timestamp(), &result, drain);
       }
     }
     // Scripted anchors: a fired resize changes the routing function, so
@@ -996,9 +974,8 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       RouteEvent(*event, &targets);
       const int delta = script.Fire(event->seq(), targets, shards);
       if (delta == 0) break;
-      flush_all();
       ExecuteResize(&shards, ClampLiveShards(live_shards_ + delta),
-                    event->seq(), event->timestamp(), &result);
+                    event->seq(), event->timestamp(), &result, drain);
     }
     if (opts_.ingest_tap) opts_.ingest_tap(event, targets);
     for (int t : targets) {
@@ -1033,68 +1010,17 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    // Post-run legacy-arena reading: chains migrated out of retired shards
-    // drain back into their home arenas as recipients expire them, so this
-    // is the value the soak harness bounds.
-    int64_t legacy = 0;
-    for (size_t i = static_cast<size_t>(live_shards_); i < shards.size(); ++i) {
-      legacy += static_cast<int64_t>(shards[i]->engine->store().arena().LiveBytes());
-    }
-    shards[0]->obs->arena_legacy_bytes.Set(legacy);
-  }
-  Merge(&shards, &result);
-  if (result.shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
-      result.total_events > 0) {
-    return Status::Unavailable(
-        "every shard worker died and exhausted its restart budget");
-  }
-  return result;
+  return Conclude(&shards, std::move(result));
 }
 
 Result<ShardRunResult> ShardRuntime::RunSequential(
     const EventStream& stream, const ShedderFactory& make_shedder) {
   CEPSHED_RETURN_NOT_OK(ValidatePlan());
-  const FaultInjector* faults =
-      (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
-  const int total_shards = EffectiveMaxShards();
-  live_shards_ = opts_.num_shards;
-  std::vector<std::unique_ptr<ShardState>> shards;
-  shards.reserve(static_cast<size_t>(total_shards));
-  if (opts_.metrics != nullptr) {
-    opts_.metrics->EnsureShards(total_shards);
-  }
-  for (int i = 0; i < total_shards; ++i) {
-    auto s = std::make_unique<ShardState>(opts_.latency);
-    s->slice_filter = opts_.routing == ShardRouting::kWindowSlice;
-    s->shard_id = i;
-    s->num_shards = opts_.num_shards;
-    s->slice_stride = SliceStride();
-    s->faults = faults;
-    if (opts_.metrics != nullptr) s->obs = opts_.metrics->shard(i);
-    s->engine = std::make_unique<Engine>(nfa_, opts_.engine);
-    if (make_shedder) {
-      s->shedder = make_shedder(i);
-      if (s->shedder != nullptr) {
-        s->shedder->Bind(s->engine.get());
-        if (s->obs != nullptr) s->shedder->set_obs(s->obs, i);
-      }
-    }
-    if (opts_.guard.enabled) {
-      s->guard = std::make_unique<OverloadGuard>(opts_.guard);
-      s->guard->Attach(s->engine.get());
-      if (s->obs != nullptr) s->guard->set_obs(s->obs, i);
-    }
-    shards.push_back(std::move(s));
-  }
+  const FaultInjector* faults = ScheduledFaults();
+  std::vector<std::unique_ptr<ShardState>> shards =
+      BuildShards(make_shedder, /*with_queues=*/false);
 
   ShardRunResult result;
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    shards[0]->obs->live_shards.Set(live_shards_);
-  }
   const auto t0 = std::chrono::steady_clock::now();
   // Buffer each shard's substream in routing order — exactly the sequence
   // the parallel worker would pop from its queue. Saturation faults refuse
@@ -1116,29 +1042,14 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
       const size_t n = std::min(kConsumeBatch, buffer->size() - base);
       s.engine->BeginBatch(buffer->data() + base, n);
       for (size_t i = base; i < base + n; ++i) {
-        const EventPtr& event = (*buffer)[i];
-        if (s.seq_draining) {
-          ++s.result.events_routed;
-          ++s.result.events_lost;
-          if (s.obs != nullptr) {
-            s.obs->events_routed.Add();
-            s.obs->events_lost.Add();
-          }
-          continue;
-        }
-        if (s.Consume(event)) {
-          if (s.restarts < opts_.max_worker_restarts) {
-            ++s.restarts;
-            ++s.result.worker_restarts;
-          } else {
-            s.result.abandoned = true;
-            s.seq_draining = true;
-          }
-        }
+        s.ConsumeInline((*buffer)[i], opts_.max_worker_restarts);
       }
     }
     s.engine->EndBatch();
     buffer->clear();
+  };
+  const auto drain_all = [&] {
+    for (size_t i = 0; i < shards.size(); ++i) drain_buffer(*shards[i], &buffers[i]);
   };
   ResizeScript script(faults);
   std::vector<int> targets;
@@ -1148,20 +1059,8 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
       RouteEvent(*event, &targets);
       const int delta = script.Fire(event->seq(), targets, shards);
       if (delta == 0) break;
-      const int new_live = ClampLiveShards(live_shards_ + delta);
-      if (new_live == live_shards_) continue;
-      const auto m0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < shards.size(); ++i) {
-        drain_buffer(*shards[i], &buffers[i]);
-      }
-      const int old_live = live_shards_;
-      MigrateState(&shards, old_live, new_live, &result);
-      live_shards_ = new_live;
-      const double pause_us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - m0)
-                                  .count();
-      RecordResize(&shards, old_live, new_live, event->seq(),
-                   event->timestamp(), pause_us, &result);
+      ExecuteResize(&shards, ClampLiveShards(live_shards_ + delta), event->seq(),
+                    event->timestamp(), &result, drain_all);
     }
     if (opts_.ingest_tap) opts_.ingest_tap(event, targets);
     for (int t : targets) {
@@ -1175,28 +1074,11 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
       ++result.routed_events;
     }
   }
-  for (size_t i = 0; i < shards.size(); ++i) {
-    drain_buffer(*shards[i], &buffers[i]);
-    shards[i]->Finish();
-  }
+  drain_all();
+  for (std::unique_ptr<ShardState>& s : shards) s->Finish();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    int64_t legacy = 0;
-    for (size_t i = static_cast<size_t>(live_shards_); i < shards.size(); ++i) {
-      legacy += static_cast<int64_t>(shards[i]->engine->store().arena().LiveBytes());
-    }
-    shards[0]->obs->arena_legacy_bytes.Set(legacy);
-  }
-  Merge(&shards, &result);
-  if (result.shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
-      result.total_events > 0) {
-    return Status::Unavailable(
-        "every shard worker died and exhausted its restart budget");
-  }
-  return result;
+  return Conclude(&shards, std::move(result));
 }
 
 }  // namespace cepshed

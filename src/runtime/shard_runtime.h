@@ -217,6 +217,14 @@ struct ShardRunResult {
   double wall_seconds = 0.0;
 };
 
+/// \brief One donor -> recipient transfer of an elastic resize.
+struct MigrationFlow {
+  int donor = 0;
+  int recipient = 0;
+  uint64_t pms = 0;
+  uint64_t bytes = 0;
+};
+
 /// \brief Runs one query over N shard-confined engines.
 class ShardRuntime {
  public:
@@ -271,6 +279,18 @@ class ShardRuntime {
   /// the any-match and next-match policies.
   static bool IsPartitionCorrelated(const Nfa& nfa, int attr);
 
+  /// Elastic-resize migration over quiescent hash-partitioned engines
+  /// (index = shard id; `obs` holds each one's slot, or null). Moves every
+  /// partial match whose ShardOfKey owner on `partition_attr` under
+  /// `new_live` differs from its engine, donor by donor in shard order —
+  /// deterministic given the engines' states. Chains move by reference:
+  /// the recipient pins the donor's arena. Counts each flow into the
+  /// donor's slot and returns the flows. The soak harness shares it.
+  static std::vector<MigrationFlow> MigrateState(const std::vector<Engine*>& engines,
+                                                 const std::vector<obs::ShardObs*>& obs,
+                                                 int partition_attr, int old_live,
+                                                 int new_live);
+
  private:
   struct ShardState;
   struct ResizeScript;
@@ -291,22 +311,26 @@ class ShardRuntime {
   int EffectiveMinShards() const;
   int ClampLiveShards(int want) const;
 
+  /// The fault schedule of this run, or null when it injects nothing.
+  const FaultInjector* ScheduledFaults() const;
+  /// Shared set-up of Run and RunSequential: resets the live count, sizes
+  /// the metrics registry, and builds every provisioned shard (engine,
+  /// shedder, guard, step; a queue when `with_queues`).
+  std::vector<std::unique_ptr<ShardState>> BuildShards(
+      const ShedderFactory& make_shedder, bool with_queues);
+  /// Shared epilogue: the post-run legacy-arena gauge, the merge, and the
+  /// every-shard-abandoned check.
+  Result<ShardRunResult> Conclude(std::vector<std::unique_ptr<ShardState>>* shards,
+                                  ShardRunResult result) const;
+
   /// Stop-the-world resize to `new_live` shards (no-op when equal to the
-  /// current live count): waits for every live shard to drain its queue
-  /// (handling worker deaths mid-drain), migrates ownership-changing
-  /// partial matches, flips the routing, and records metrics, audit, and
-  /// the resize tap. Parallel path only; the sequential mirror drains its
-  /// buffers first and shares MigrateState.
+  /// current live count): `quiesce` brings every live shard to rest (the
+  /// parallel drain barrier, or the sequential mirror's buffer drain),
+  /// then ownership-changing partial matches migrate, the routing flips,
+  /// and metrics, audit, and the resize tap record the resize.
   void ExecuteResize(std::vector<std::unique_ptr<ShardState>>* shards,
                      int new_live, uint64_t seq, Timestamp now,
-                     ShardRunResult* result);
-  /// Moves every partial match whose ShardOfKey owner under `new_live`
-  /// differs from its current shard, donor by donor in shard order —
-  /// deterministic given the engines' states. Chains move by reference:
-  /// the recipient pins the donor's arena and nodes return to it when the
-  /// chains die. Requires every worker parked (quiescence).
-  void MigrateState(std::vector<std::unique_ptr<ShardState>>* shards,
-                    int old_live, int new_live, ShardRunResult* result) const;
+                     ShardRunResult* result, const std::function<void()>& quiesce);
   /// Shared metrics/audit/tap bookkeeping of one executed resize.
   void RecordResize(std::vector<std::unique_ptr<ShardState>>* shards,
                     int old_live, int new_live, uint64_t seq, Timestamp now,

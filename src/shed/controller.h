@@ -12,6 +12,7 @@
 
 #include "src/cep/engine.h"
 #include "src/cep/stream.h"
+#include "src/runtime/event_step.h"
 #include "src/runtime/latency_monitor.h"
 #include "src/shed/shedder.h"
 
@@ -42,7 +43,9 @@ struct RunResult {
   EngineStats engine_stats;
 };
 
-/// \brief Runs a stream through engine + shedder with latency monitoring.
+/// \brief Runs a stream through engine + shedder with latency monitoring:
+/// an EventStep per run, plus the exact-percentile latency vector and the
+/// sampled partial-match series.
 class ShedRunner {
  public:
   /// The engine and shedder must outlive the runner. The shedder is bound
@@ -53,13 +56,13 @@ class ShedRunner {
   /// partial-match count every that-many events (Fig. 1's series).
   RunResult Run(const EventStream& stream, size_t pm_sample_stride = 0);
 
-  /// Work charged to the latency monitor for a dropped event ("a discarded
-  /// event is not processed at all" — only the filter runs).
-  static constexpr double kDroppedEventCost = 0.05;
+  /// Work charged to the latency monitor for a dropped event.
+  static constexpr double kDroppedEventCost = EventStep::kDroppedEventCost;
 
-  /// Attaches an observability sink (optional; not owned): the runner then
-  /// records per-event counters and the cost histogram, and wires the sink
-  /// into the shedder's drop/kill audit hooks.
+  /// Attaches an observability sink (optional; not owned): the runner's
+  /// step then publishes its per-event counters, cost histogram and
+  /// footprint gauges, and the sink is wired into the shedder's drop/kill
+  /// audit hooks.
   void set_obs(obs::ShardObs* o) { obs_ = o; }
 
  private:

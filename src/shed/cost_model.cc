@@ -341,6 +341,16 @@ double CostModel::EventUtility(const Event& event) const {
   return best;
 }
 
+void CostModel::AttachTo(Engine* engine) {
+  engine->set_classifier([this](const PartialMatch& pm) { return Classify(pm); });
+  engine->set_pm_created_hook([this](const PartialMatch& pm, const PartialMatch* parent) {
+    OnPmCreated(pm, parent, pm.last_ts);
+  });
+  engine->set_match_hook([this](const Match& m, const PartialMatch* parent) {
+    OnMatch(m, parent, m.detected_at);
+  });
+}
+
 void CostModel::OnPmCreated(const PartialMatch& pm, const PartialMatch* parent,
                             Timestamp now) {
   if (!options_.enable_online_adaptation || !trained_) return;

@@ -125,6 +125,11 @@ class CostModel {
 
   // --- Online adaptation (§V-B) -------------------------------------------
 
+  /// Wires the model into an engine: the classifier stamps class labels
+  /// onto partial matches, and the creation/match hooks below feed online
+  /// adaptation. The model must outlive the engine's use of the hooks.
+  void AttachTo(Engine* engine);
+
   /// Engine hook: a partial match was created; charge consumption
   /// increments to its parent's class.
   void OnPmCreated(const PartialMatch& pm, const PartialMatch* parent, Timestamp now);

@@ -414,19 +414,7 @@ ModelOwningShedder::ModelOwningShedder(std::unique_ptr<CostModel> model,
 
 void ModelOwningShedder::Bind(Engine* engine) {
   Shedder::Bind(engine);
-  CostModel* model = model_.get();
-  // The same wiring ExperimentHarness::RunWith installs for model-backed
-  // strategies: the classifier stamps class labels onto partial matches,
-  // and the creation/match hooks feed online adaptation.
-  engine->set_classifier(
-      [model](const PartialMatch& pm) { return model->Classify(pm); });
-  engine->set_pm_created_hook(
-      [model](const PartialMatch& pm, const PartialMatch* parent) {
-        model->OnPmCreated(pm, parent, pm.last_ts);
-      });
-  engine->set_match_hook([model](const Match& m, const PartialMatch* parent) {
-    model->OnMatch(m, parent, m.detected_at);
-  });
+  model_->AttachTo(engine);
   inner_->Bind(engine);
 }
 

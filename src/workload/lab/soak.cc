@@ -10,7 +10,7 @@
 
 #include "src/cep/engine.h"
 #include "src/cep/nfa.h"
-#include "src/runtime/latency_monitor.h"
+#include "src/runtime/event_step.h"
 #include "src/runtime/overload_guard.h"
 #include "src/runtime/shard_runtime.h"
 #include "src/workload/ds1.h"
@@ -27,7 +27,7 @@ namespace {
 struct SoakShard {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<OverloadGuard> guard;
-  LatencyMonitor monitor;
+  std::unique_ptr<EventStep> step;
 };
 
 /// Gauge floors below which "slack * baseline" would be vacuously tight: a
@@ -125,40 +125,6 @@ Result<std::vector<std::pair<int, int>>> ParseScaleSchedule(
   return schedule;
 }
 
-/// The engine-level mirror of ShardRuntime::MigrateState: moves every
-/// partial match whose hash owner under `new_live` differs from its
-/// current engine, donor by donor — chains by reference, recipients pin
-/// the donors' arenas. Returns the number of partial matches moved.
-uint64_t MigrateSoakState(std::vector<SoakShard>* shards, int old_live,
-                          int new_live, int id_attr,
-                          obs::MetricsRegistry* registry) {
-  std::vector<std::vector<MigratedState>> transfer(shards->size());
-  uint64_t moved_pms = 0;
-  for (int d = 0; d < old_live; ++d) {
-    Engine* donor = (*shards)[static_cast<size_t>(d)].engine.get();
-    for (int r = 0; r < new_live; ++r) {
-      if (r == d) continue;
-      MigratedState moved = donor->ExtractPartialMatches(
-          [id_attr, r, new_live](const PartialMatch& pm) {
-            const Event* e = pm.LastEvent();
-            if (e == nullptr) return false;
-            return ShardRuntime::ShardOfKey(e->attr(id_attr), new_live) == r;
-          });
-      if (moved.empty()) continue;
-      moved_pms += moved.size();
-      registry->shard(d)->migrated_pms.Add(moved.size());
-      registry->shard(d)->migrated_bytes.Add(moved.approx_bytes);
-      transfer[static_cast<size_t>(r)].push_back(std::move(moved));
-    }
-  }
-  for (size_t r = 0; r < transfer.size(); ++r) {
-    for (MigratedState& moved : transfer[r]) {
-      (*shards)[r].engine->AdoptPartialMatches(std::move(moved));
-    }
-  }
-  return moved_pms;
-}
-
 }  // namespace
 
 SoakRunner::SoakRunner(SoakOptions options) : options_(std::move(options)) {
@@ -201,6 +167,8 @@ Result<SoakReport> SoakRunner::Run() {
   }
   registry_.EnsureShards(effective_max);
   std::vector<SoakShard> shards(static_cast<size_t>(effective_max));
+  std::vector<Engine*> engines;
+  std::vector<obs::ShardObs*> slots;
   for (int s = 0; s < effective_max; ++s) {
     SoakShard& shard = shards[static_cast<size_t>(s)];
     shard.engine = std::make_unique<Engine>(nfa, EngineOptions{});
@@ -212,6 +180,12 @@ Result<SoakReport> SoakRunner::Run() {
     shard.guard = std::make_unique<OverloadGuard>(g);
     shard.guard->Attach(shard.engine.get());
     shard.guard->set_obs(registry_.shard(s), s);
+    shard.step = std::make_unique<EventStep>(shard.engine.get(), /*shedder=*/nullptr,
+                                             shard.guard.get(),
+                                             LatencyMonitor::Options{},
+                                             registry_.shard(s), s);
+    engines.push_back(shard.engine.get());
+    slots.push_back(registry_.shard(s));
   }
 
   SoakReport report;
@@ -236,8 +210,10 @@ Result<SoakReport> SoakRunner::Run() {
       const int new_live = schedule[next_resize].second;
       ++next_resize;
       if (new_live != live) {
-        stats.migrated_pms =
-            MigrateSoakState(&shards, live, new_live, id_attr, &registry_);
+        for (const MigrationFlow& flow :
+             ShardRuntime::MigrateState(engines, slots, id_attr, live, new_live)) {
+          stats.migrated_pms += flow.pms;
+        }
         stats.resized = true;
         live = new_live;
         registry_.shard(0)->migrations_total.Add();
@@ -250,53 +226,18 @@ Result<SoakReport> SoakRunner::Run() {
     for (const EventPtr& event : stream) {
       const int s = ShardRuntime::ShardOfKey(event->attr(id_attr), live);
       SoakShard& shard = shards[static_cast<size_t>(s)];
-      obs::ShardObs* obs = registry_.shard(s);
-      obs->events_routed.Add();
       ++stats.events;
-
-      if (shard.guard->ShouldDropInput(event->seq())) {
-        obs->events_dropped_guard.Add();
-        ++stats.guard_drops;
-        shard.guard->Observe(shard.monitor.Current(), 0, 0, event->timestamp());
-        continue;
-      }
-
       scratch.clear();
-      const double cost = shard.engine->Process(event, &scratch);
-      shard.monitor.Record(cost);
-      obs->events_processed.Add();
-      obs->event_cost.Record(cost);
-      if (!scratch.empty()) {
-        obs->matches_emitted.Add(scratch.size());
-        stats.matches += scratch.size();
-      }
-      shard.guard->Observe(shard.monitor.Current(), 0, 0, event->timestamp());
+      const uint64_t guard_drops = shard.step->counts().guard_dropped;
+      shard.step->Run(event, &scratch);
+      stats.guard_drops += shard.step->counts().guard_dropped - guard_drops;
+      stats.matches += scratch.size();
 
       const Engine& e = *shard.engine;
-      const size_t state = e.ApproxStateBytes();
-      const size_t live = e.store().arena().LiveBytes();
-      const size_t flat = e.FlatCacheSize();
-      obs->state_bytes.Set(static_cast<int64_t>(state));
-      obs->arena_live_bytes.Set(static_cast<int64_t>(live));
-      obs->arena_capacity_bytes.Set(
-          static_cast<int64_t>(e.store().arena().CapacityBytes()));
-      obs->flat_cache_entries.Set(static_cast<int64_t>(flat));
-      stats.state_bytes_peak = std::max(stats.state_bytes_peak, state);
-      stats.arena_live_bytes_peak = std::max(stats.arena_live_bytes_peak, live);
-      stats.flat_cache_peak = std::max(stats.flat_cache_peak, flat);
-    }
-
-    // Watermark vacuum at the cycle boundary. Expiry is otherwise driven
-    // by Process, so a shard whose guard sheds 100% of its input would
-    // never sweep its window again: state frozen, memory signal frozen,
-    // guard pinned at its rung — an expiry-starvation livelock (and, after
-    // a shrink, retired arenas that never drain). The stream's clock
-    // advances regardless of what any one shard processes; model that.
-    if (stream.size() > 0) {
-      const Timestamp watermark = stream[stream.size() - 1]->timestamp();
-      for (int s = 0; s < effective_max; ++s) {
-        shards[static_cast<size_t>(s)].engine->Vacuum(watermark);
-      }
+      stats.state_bytes_peak = std::max(stats.state_bytes_peak, e.ApproxStateBytes());
+      stats.arena_live_bytes_peak =
+          std::max(stats.arena_live_bytes_peak, e.store().arena().LiveBytes());
+      stats.flat_cache_peak = std::max(stats.flat_cache_peak, e.FlatCacheSize());
     }
 
     for (int s = 0; s < effective_max; ++s) {

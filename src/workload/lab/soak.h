@@ -12,10 +12,12 @@
 // hunting is state that survives *within* one long-lived engine: arena
 // capacity that ratchets up burst after burst, a flatten cache that never
 // sheds entries, partial matches pinned past their window. The runner
-// therefore owns one Engine + OverloadGuard + LatencyMonitor per shard for
-// its whole life, routes events with the runtime's own hash
-// (ShardRuntime::ShardOfKey), and chains each cycle's ts_origin after the
-// previous cycle's last timestamp so windows genuinely expire.
+// therefore owns one Engine + OverloadGuard + EventStep (the runtime's own
+// per-event step, src/runtime/event_step.h) per shard for its whole life,
+// routes events with the runtime's own hash (ShardRuntime::ShardOfKey),
+// migrates with the runtime's own ShardRuntime::MigrateState, and chains
+// each cycle's ts_origin after the previous cycle's last timestamp so
+// windows genuinely expire.
 //
 // Boundedness criterion: the first `warmup_cycles` cycles establish a
 // per-gauge baseline peak (warmup lets caches fill and the arena reach its
@@ -77,7 +79,7 @@ struct SoakOptions {
   std::string scale_schedule;
 };
 
-/// Per-cycle observations; peaks are sampled after every processed event.
+/// Per-cycle observations; peaks are sampled after every event.
 struct SoakCycleStats {
   int cycle = 0;
   std::string workload;

@@ -482,6 +482,56 @@ TEST_F(ChaosTest, GuardEnforcesThePartialMatchMemoryBudget) {
   ExpectSameOutcome(*run, *again);
 }
 
+TEST_F(ChaosTest, PanickingGuardKeepsExpiringStateAndRecovers) {
+  // Expiry runs inside Engine::Process, so a guard that drops every input
+  // at kPanic would freeze the engine's window: state never expires, the
+  // memory signal never cools, and the guard never steps down — unless
+  // the per-event step vacuums at the dropped events' watermark. Covered
+  // for a time window and for a count window (whose watermark is the
+  // dropped event's sequence number, not the last processed one).
+  for (const char* window : {"8ms", "800 EVENTS"}) {
+    SCOPED_TRACE(window);
+    auto q = queries::Q1(window);
+    ASSERT_TRUE(q.ok());
+    auto nfa = Nfa::Compile(*q, schema_);
+    ASSERT_TRUE(nfa.ok()) << nfa.status().message();
+    Engine engine(*nfa, EngineOptions{});
+    NoShedder none;
+    ShedRunner reference(&engine, &none, LatencyMonitor::Options{});
+    const std::vector<CanonMatch> expected = Canon(reference.Run(*stream_).matches);
+
+    const auto run_with = [&](const ShardRuntimeOptions& opts, bool parallel) {
+      auto runtime = ShardRuntime::Create(*nfa, opts);
+      EXPECT_TRUE(runtime.ok()) << runtime.status().message();
+      return parallel ? (*runtime)->Run(*stream_) : (*runtime)->RunSequential(*stream_);
+    };
+    const ShardRuntimeOptions probe = DeterministicGuardOptions(BaseOptions(1));
+    auto unbounded = run_with(probe, true);
+    ASSERT_TRUE(unbounded.ok());
+    const size_t natural_peak = unbounded->shards[0].guard_peak_state_bytes;
+    ASSERT_GT(natural_peak, 0u);
+
+    ShardRuntimeOptions opts = probe;
+    opts.guard.memory_budget_bytes = natural_peak * 3 / 5;
+    auto run = run_with(opts, true);
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    const ShardResult& s = run->shards[0];
+    EXPECT_GE(s.guard_peak_level, static_cast<int>(GuardLevel::kPanic));
+    EXPECT_EQ(s.guard_final_level, static_cast<int>(GuardLevel::kNormal));
+    // The guard sheds the pressure and then lets the stream back in: most
+    // events are processed, not dropped for the rest of the run.
+    EXPECT_LT(run->dropped_events, stream_->size() / 2);
+    EXPECT_GT(run->matches.size(), expected.size() / 4);
+    ExpectSubsetOf(run->matches, expected);
+    ExpectCanonicalOrder(run->matches);
+    ExpectAccountingConsistent(*run);
+
+    auto sequential = run_with(opts, false);
+    ASSERT_TRUE(sequential.ok()) << sequential.status().message();
+    ExpectSameOutcome(*run, *sequential);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Everything at once.
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/shed/controller.h"
+#include "src/shed/registry.h"
 #include "src/workload/ds1.h"
 #include "src/workload/queries.h"
 
@@ -104,6 +106,42 @@ TEST_F(MultiQueryTest, BaselineCostsAreExposed) {
   ASSERT_TRUE(runner.Prepare(train).ok());
   EXPECT_GT(runner.BaselineCost(0), 0.0);
   EXPECT_GT(runner.BaselineCost(1), 0.0);
+}
+
+TEST_F(MultiQueryTest, SingleQueryBoundCountersMatchShedRunner) {
+  // Both drivers run the same per-event step, so a one-query run must
+  // count bound checks and violations exactly like ShedRunner over the
+  // same stream, slice theta and strategy.
+  const EventStream train = MakeStream(78, 6000);
+  const EventStream test = MakeStream(79, 8000);
+  MultiQueryRunner runner(&schema_, {{*queries::Q1("8ms"), 1.0}});
+  runner.set_shedder_spec("ri");
+  ASSERT_TRUE(runner.Prepare(train).ok());
+  const double theta = 0.5 * runner.BaselineCost(0);
+  auto multi = runner.Run(test, theta);
+  ASSERT_TRUE(multi.ok());
+  const PerQueryResult& pq = multi->queries[0];
+
+  // The runner's slice for its only query, computed as it computes it.
+  ShedderContext ctx;
+  ctx.theta = theta * 1.0 * runner.BaselineCost(0) / (1.0 * runner.BaselineCost(0));
+  ctx.seed = HybridOptions{}.seed;
+  ctx.hybrid_trigger_delay = HybridOptions{}.trigger_delay;
+  auto shedder = ShedderRegistry::Instance().Create("ri", ctx);
+  ASSERT_TRUE(shedder.ok());
+  auto nfa = Nfa::Compile(*queries::Q1("8ms"), &schema_);
+  ASSERT_TRUE(nfa.ok());
+  Engine engine(*nfa, EngineOptions{});
+  ShedRunner solo(&engine, shedder->get(), LatencyMonitor::Options{});
+  const RunResult r = solo.Run(test);
+
+  EXPECT_GT(r.bound_checked, 0u);
+  EXPECT_GT(r.bound_violations, 0u);
+  EXPECT_EQ(pq.bound_checked, r.bound_checked);
+  EXPECT_EQ(pq.bound_violations, r.bound_violations);
+  EXPECT_EQ(pq.dropped_events, r.dropped_events);
+  EXPECT_EQ(pq.matches.size(), r.matches.size());
+  EXPECT_DOUBLE_EQ(pq.avg_latency, r.avg_latency);
 }
 
 }  // namespace

@@ -19,7 +19,10 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/scoped_timer.h"
+#include "src/runtime/multi_query.h"
 #include "src/runtime/shard_runtime.h"
+#include "src/shed/controller.h"
+#include "src/shed/registry.h"
 #include "src/workload/ds1.h"
 #include "src/workload/queries.h"
 
@@ -339,6 +342,105 @@ TEST(ObsDeterminismTest, RunMatchesRunSequentialSnapshot) {
       EXPECT_EQ(p.audit[a].kind, s.audit[a].kind);
       EXPECT_EQ(p.audit[a].class_label, s.audit[a].class_label);
       EXPECT_EQ(p.audit[a].detail, s.audit[a].detail);
+    }
+  }
+}
+
+/// Every driver runs the same per-event step (src/runtime/event_step.h),
+/// so ShedRunner, a one-query MultiQueryRunner and a one-shard
+/// ShardRuntime over the same stream, engine options and strategy must
+/// publish identical values for every family the step writes — counters,
+/// the cost histogram, the drop audit trail, and the footprint and
+/// expiry-wheel gauges.
+TEST(ObsDeterminismTest, EveryStepDriverPublishesTheSameSeries) {
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 6'000;
+  gen.seed = 41;
+  const EventStream train = GenerateDs1(schema, gen);
+  gen.num_events = 12'000;
+  gen.seed = 42;
+  const EventStream stream = GenerateDs1(schema, gen);
+  auto query = queries::Q1("4ms");
+  ASSERT_TRUE(query.ok());
+  auto nfa = Nfa::Compile(*query, &schema);
+  ASSERT_TRUE(nfa.ok());
+
+  // MultiQueryRunner: one query owns the whole budget as its slice.
+  MetricsRegistry multi_registry;
+  MultiQueryRunner multi(&schema, {{*query, 1.0}});
+  multi.set_shedder_spec("ri");
+  multi.set_metrics(&multi_registry);
+  ASSERT_TRUE(multi.Prepare(train).ok());
+  const double theta = 0.6 * multi.BaselineCost(0);
+  ASSERT_TRUE(multi.Run(stream, theta).ok());
+
+  // The same strategy and slice for the other two drivers.
+  ShedderContext ctx;
+  ctx.theta = theta * 1.0 * multi.BaselineCost(0) / (1.0 * multi.BaselineCost(0));
+  ctx.seed = HybridOptions{}.seed;
+  ctx.hybrid_trigger_delay = HybridOptions{}.trigger_delay;
+  const auto make_shedder = [&ctx]() {
+    auto shedder = ShedderRegistry::Instance().Create("ri", ctx);
+    EXPECT_TRUE(shedder.ok());
+    return std::move(shedder).value();
+  };
+
+  MetricsRegistry runner_registry(1);
+  {
+    Engine engine(*nfa, EngineOptions{});
+    std::unique_ptr<Shedder> shedder = make_shedder();
+    ShedRunner runner(&engine, shedder.get(), LatencyMonitor::Options{});
+    runner.set_obs(runner_registry.shard(0));
+    runner.Run(stream);
+  }
+
+  MetricsRegistry shard_registry;
+  {
+    ShardRuntimeOptions opts;
+    opts.num_shards = 1;
+    opts.partition_attr = schema.AttributeIndex("ID");
+    opts.metrics = &shard_registry;
+    auto runtime = ShardRuntime::Create(*nfa, opts);
+    ASSERT_TRUE(runtime.ok());
+    ASSERT_TRUE((*runtime)->Run(stream, [&](int) { return make_shedder(); }).ok());
+  }
+
+  const ShardObsSnapshot a = runner_registry.Snapshot().shards.at(0);
+  EXPECT_GT(a.events_dropped_shedder, 0u);
+  EXPECT_GT(a.matches_emitted, 0u);
+  EXPECT_GT(a.expiry_reaped, 0u);
+  EXPECT_GT(a.state_bytes, 0);
+  EXPECT_GT(a.arena_live_bytes, 0);
+  EXPECT_GT(a.wheel_entries, 0);
+  for (const RegistrySnapshot& other :
+       {multi_registry.Snapshot(), shard_registry.Snapshot()}) {
+    const ShardObsSnapshot& b = other.shards.at(0);
+    EXPECT_EQ(a.events_routed, b.events_routed);
+    EXPECT_EQ(a.events_processed, b.events_processed);
+    EXPECT_EQ(a.events_dropped_shedder, b.events_dropped_shedder);
+    EXPECT_EQ(a.events_dropped_guard, b.events_dropped_guard);
+    EXPECT_EQ(a.matches_emitted, b.matches_emitted);
+    EXPECT_EQ(a.pms_shed, b.pms_shed);
+    for (int c = 0; c < ShardObs::kNumClasses; ++c) {
+      EXPECT_EQ(a.shed_by_class[c], b.shed_by_class[c]) << "class " << c;
+    }
+    EXPECT_EQ(a.event_cost.buckets, b.event_cost.buckets);
+    EXPECT_EQ(a.event_cost.count, b.event_cost.count);
+    EXPECT_EQ(a.event_cost.max, b.event_cost.max);
+    EXPECT_EQ(a.expiry_reaped, b.expiry_reaped);
+    EXPECT_EQ(a.wheel_cascades, b.wheel_cascades);
+    EXPECT_EQ(a.state_bytes, b.state_bytes);
+    EXPECT_EQ(a.arena_live_bytes, b.arena_live_bytes);
+    EXPECT_EQ(a.arena_capacity_bytes, b.arena_capacity_bytes);
+    EXPECT_EQ(a.flat_cache_entries, b.flat_cache_entries);
+    EXPECT_EQ(a.wheel_entries, b.wheel_entries);
+    ASSERT_EQ(a.audit.size(), b.audit.size());
+    for (size_t i = 0; i < a.audit.size(); ++i) {
+      EXPECT_EQ(a.audit[i].index, b.audit[i].index);
+      EXPECT_EQ(a.audit[i].timestamp, b.audit[i].timestamp);
+      EXPECT_EQ(a.audit[i].kind, b.audit[i].kind);
+      EXPECT_EQ(a.audit[i].detail, b.audit[i].detail);
     }
   }
 }
