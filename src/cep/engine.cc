@@ -4,8 +4,44 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace cepshed {
+
+double AddRepeated(double sum, double addend, uint64_t n) {
+  // Short runs take the loop, which costs about what the closed form's
+  // set-up (frexp, ldexp, a divide) does.
+  constexpr uint64_t kLoopRuns = 16;
+  int exp;
+  if (n < kLoopRuns || !(addend > 0.0) || !std::isfinite(addend) ||
+      std::frexp(addend, &exp) != 0.5 || !(sum >= 0.0) || !std::isfinite(sum)) {
+    for (; n > 0; --n) sum += addend;
+    return sum;
+  }
+  while (n > 0) {
+    // The first add, and later each binade-crossing add, exactly as the
+    // sequential loop performs it.
+    const double next = sum + addend;
+    --n;
+    if (next == sum) return sum;  // absorbed, and so is every later add
+    sum = next;
+    // sum lies in [2^(e-1), 2^e) with ulp 2^(e-53). An addend that is a
+    // power of two no smaller than that ulp keeps every partial sum below
+    // 2^e a representable multiple of it: those adds are exact, and so is
+    // their closed form. Smaller addends round each time: step.
+    int e;
+    std::frexp(sum, &e);
+    const double top = std::ldexp(1.0, e);
+    if (!std::isfinite(top) || addend < std::ldexp(1.0, e - 53)) continue;
+    // (top - sum) is exact (Sterbenz) and so is the power-of-two divide;
+    // k adds keep the sum strictly below top.
+    const uint64_t k = std::min<uint64_t>(
+        n, static_cast<uint64_t>(std::ceil((top - sum) / addend)) - 1);
+    sum += static_cast<double>(k) * addend;
+    n -= k;
+  }
+  return sum;
+}
 
 Engine::Engine(std::shared_ptr<const Nfa> nfa, EngineOptions options)
     : nfa_(std::move(nfa)),
@@ -198,6 +234,11 @@ void Engine::BuildIndexLayout() {
     if (usable(st.fill_index)) {
       idx.fresh.enabled = true;
       idx.fresh.spec = &st.fill_index;
+      const CompiledPredicate* src = st.fill_index.source;
+      if (vm_ != nullptr && src != nullptr && src->vm_program >= 0 &&
+          vm_->IsFusedEqAA(src->vm_program)) {
+        idx.fresh.implied = src;
+      }
     }
     if (st.kleene) {
       const JoinIndexSpec* ext_spec =
@@ -300,12 +341,19 @@ void Engine::FillContext(const PartialMatch* pm, const Event* current, int curre
   assert(node == nullptr);
 }
 
-bool Engine::EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost) {
+bool Engine::EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost,
+                       const CompiledPredicate* implied) {
   for (const CompiledPredicate* cp : preds) {
     double pred_cost = 0.0;
     bool pass;
     int plan;
-    if (batch_cur_ >= 0 && cp->vm_program >= 0 &&
+    if (cp == implied) {
+      // Proven by the index probe: a fused attr = attr compare costs its
+      // two register loads plus the compare, hit or miss.
+      pass = true;
+      pred_cost = 3.0 * kExprCostBasic;
+      ++implied_predicates_;
+    } else if (batch_cur_ >= 0 && cp->vm_program >= 0 &&
         (plan = batch_plan_of_prog_[static_cast<size_t>(cp->vm_program)]) !=
             0 &&
         ctx_.current == batch_events_[static_cast<size_t>(batch_cur_)] &&
@@ -340,9 +388,9 @@ Value Engine::BuildKey(const HashIndex& index, const PartialMatch& pm) {
 
 void Engine::IndexAdd(HashIndex* index, PartialMatch* pm, const Value& key) {
   if (!index->enabled || key.is_null()) {
-    index->unkeyed.push_back(pm);
+    index->unkeyed.emplace_back(pm);
   } else {
-    index->map[key].push_back(pm);
+    index->map[key].emplace_back(pm);
   }
 }
 
@@ -363,7 +411,8 @@ void Engine::IndexInsert(PartialMatch* pm) {
 }
 
 bool Engine::TryBind(PartialMatch* pm, int state, const EventPtr& event, bool is_proceed,
-                     double* cost, std::vector<Match>* out) {
+                     double* cost, std::vector<Match>* out,
+                     const CompiledPredicate* implied) {
   const NfaState& st = nfa_->state(state);
   const int elem = st.pattern_elem;
   const uint32_t open_before = (pm != nullptr && !is_proceed) ? pm->OpenCount() : 0;
@@ -376,7 +425,7 @@ bool Engine::TryBind(PartialMatch* pm, int state, const EventPtr& event, bool is
     const NfaState& prev = nfa_->state(state - 1);
     if (!EvalPreds(prev.close_preds, cost)) return false;
   }
-  if (!EvalPreds(st.bind_preds, cost)) return false;
+  if (!EvalPreds(st.bind_preds, cost, implied)) return false;
   if (is_extension && !EvalPreds(st.iter_preds, cost)) return false;
 
   // Clone and bind: the clone shares the parent's entire binding chain
@@ -616,7 +665,7 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
   const SelectionPolicy policy = nfa_->query().policy;
   auto probe = [&](HashIndex& index, int state, bool is_proceed) {
     const NfaState& st = nfa_->state(state);
-    auto consider = [&](PartialMatch* pm) {
+    auto consider = [&](PartialMatch* pm, const CompiledPredicate* implied) {
       ++stats_.candidates_scanned;
       cost += options_.costs.per_candidate;
       if (!pm->alive) return;
@@ -631,15 +680,46 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
       bool bound;
       if (pm_probed_hook_) {
         const double before = cost;
-        bound = TryBind(pm, state, event, is_proceed, &cost, out);
+        bound = TryBind(pm, state, event, is_proceed, &cost, out, implied);
         pm_probed_hook_(*pm, options_.costs.per_candidate + (cost - before), now);
       } else {
-        bound = TryBind(pm, state, event, is_proceed, &cost, out);
+        bound = TryBind(pm, state, event, is_proceed, &cost, out, implied);
       }
       if (bound && policy == SelectionPolicy::kSkipTillNextMatch) {
         // Selective: the match takes this event and does not branch.
         store_.Kill(pm);
       }
+    };
+    // Walks a bucket and rewrites it in place: every dead entry met (dead
+    // before, or killed while considered) joins a ghost run, and a run is
+    // charged exactly what scanning its dead entries one by one would
+    // cost, at the same position. Dead matches never revive, and the store
+    // frees them only in compaction or extraction, both followed by a
+    // rebuild that drops the runs with them.
+    auto scan = [&](Bucket& bucket, const CompiledPredicate* implied) {
+      uint64_t run = 0;
+      size_t w = 0;
+      for (size_t r = 0; r < bucket.size(); ++r) {
+        const IndexEntry e = bucket[r];
+        if (e.ghost()) {
+          stats_.candidates_scanned += e.run();
+          cost = AddRepeated(cost, options_.costs.per_candidate, e.run());
+          run += e.run();
+          continue;
+        }
+        consider(e.pm(), implied);
+        if (!e.pm()->alive) {
+          ++run;
+          continue;
+        }
+        if (run != 0) {
+          bucket[w++] = IndexEntry::Ghost(run);
+          run = 0;
+        }
+        bucket[w++] = e;
+      }
+      if (run != 0) bucket[w++] = IndexEntry::Ghost(run);
+      bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(w), bucket.end());
     };
     if (index.enabled) {
       ++stats_.index_probes;
@@ -648,13 +728,18 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
       if (!key.is_null()) {
         auto it = index.map.find(key);
         if (it != index.map.end()) {
-          for (PartialMatch* pm : it->second) consider(pm);
+          // Every key in the bucket Equals the node's key. Value::Equals
+          // promotes int <-> double and is not transitive past 2^53, so
+          // the bucket proves `probe = build` only under an int or string
+          // node key (DESIGN.md §3.12).
+          const ValueType node = it->first.type();
+          scan(it->second, node == ValueType::kInt || node == ValueType::kString
+                               ? index.implied
+                               : nullptr);
         }
       }
-      for (PartialMatch* pm : index.unkeyed) consider(pm);
-    } else {
-      for (PartialMatch* pm : index.unkeyed) consider(pm);
     }
+    scan(index.unkeyed, nullptr);
   };
 
   // Hoist the probe-key attribute reads: one reference per distinct
@@ -855,6 +940,7 @@ void Engine::Reset() {
     idx.proceed.Clear();
   }
   stats_ = EngineStats{};
+  implied_predicates_ = 0;
   next_pm_id_ = 1;
   events_since_evict_ = 0;
   last_seq_ = 0;

@@ -43,6 +43,15 @@ struct CostParams {
   double pred_weight = 1.0;
 };
 
+/// Returns `sum` after `n` sequential `sum += addend`, bit for bit. The
+/// probe loop charges a run of n folded tombstones this way (DESIGN.md
+/// §3.12). For a positive power-of-two addend at least ulp(sum), every
+/// partial sum inside one binade is exact, so only the binade-crossing add
+/// rounds: the adds up to the next power of two collapse into one exact
+/// multiply-add and the crossing add is performed as is. Any other addend
+/// (or a negative or non-finite sum) takes the plain loop.
+double AddRepeated(double sum, double addend, uint64_t n);
+
 /// \brief Engine configuration.
 struct EngineOptions {
   /// Use hash-join indexes derived from equality predicates (§VI-A).
@@ -253,6 +262,12 @@ class Engine {
   /// join indexes rebuilt. Same quiescence contract as extraction.
   void AdoptPartialMatches(MigratedState state);
 
+  /// Predicate evaluations the probe loop skipped because the hit index
+  /// bucket proved them (DESIGN.md §3.12). They are still counted in
+  /// stats().predicate_evals and charged their evaluation cost; this is
+  /// the share of that count no predicate actually ran for.
+  uint64_t ImpliedPredicates() const { return implied_predicates_; }
+
   /// Current flatten-cache population (bounded by kFlatCacheMaxEntries
   /// with wholesale clearing; exposed for the soak harness's obs gauges).
   size_t FlatCacheSize() const { return flat_cache_.size(); }
@@ -274,12 +289,36 @@ class Engine {
   void Reset();
 
  private:
+  /// One index-bucket slot: a stored match, or a ghost run — the count of
+  /// consecutive dead entries a probe folded together, standing in for
+  /// them at their position until the next rebuild (DESIGN.md §3.12).
+  /// Matches are 8-byte aligned, so the low bit tags a run and the upper
+  /// bits hold its length.
+  class IndexEntry {
+   public:
+    explicit IndexEntry(PartialMatch* pm) : bits_(reinterpret_cast<uintptr_t>(pm)) {}
+    static IndexEntry Ghost(uint64_t n) { return IndexEntry((n << 1) | 1); }
+    bool ghost() const { return (bits_ & 1) != 0; }
+    uint64_t run() const { return bits_ >> 1; }
+    PartialMatch* pm() const { return reinterpret_cast<PartialMatch*>(bits_); }
+
+   private:
+    explicit IndexEntry(uintptr_t bits) : bits_(bits) {}
+    uintptr_t bits_;
+  };
+  static_assert(alignof(PartialMatch) >= 2, "IndexEntry tags the low pointer bit");
+  using Bucket = std::vector<IndexEntry>;
+
   /// Hash index over stored partial matches for one transition family.
   struct HashIndex {
     bool enabled = false;
     const JoinIndexSpec* spec = nullptr;
-    std::unordered_map<Value, std::vector<PartialMatch*>, ValueHash> map;
-    std::vector<PartialMatch*> unkeyed;
+    /// Fresh indexes only: the key's source predicate when it compiles to
+    /// one fused `attr = attr` compare, which a keyed bucket hit proves
+    /// (see Engine::Process); null otherwise.
+    const CompiledPredicate* implied = nullptr;
+    std::unordered_map<Value, Bucket, ValueHash> map;
+    Bucket unkeyed;
 
     void Clear() {
       map.clear();
@@ -306,7 +345,11 @@ class Engine {
   Value BuildKey(const HashIndex& index, const PartialMatch& pm);
 
   void FillContext(const PartialMatch* pm, const Event* current, int current_elem);
-  bool EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost);
+  /// Evaluates `preds` in order, stopping at the first failure. `implied`
+  /// (one of them, or null) is known to hold: it is counted and charged
+  /// what its evaluation costs, without evaluating it.
+  bool EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost,
+                 const CompiledPredicate* implied = nullptr);
 
   /// One batchable predicate: a VM program that is a single fused
   /// attr-vs-literal compare whose load always reads the current event
@@ -332,9 +375,11 @@ class Engine {
   /// Tries to bind `event` into slot `state` of `pm` (pm may be at `state`
   /// or, for proceed transitions, at state-1). On success the clone is
   /// queued and any complete match emitted; returns whether the bind
-  /// succeeded (used by the selective policies).
+  /// succeeded (used by the selective policies). `implied` is a bind
+  /// predicate the caller's index probe already proved.
   bool TryBind(PartialMatch* pm, int state, const EventPtr& event, bool is_proceed,
-               double* cost, std::vector<Match>* out);
+               double* cost, std::vector<Match>* out,
+               const CompiledPredicate* implied = nullptr);
 
   void EmitMatch(const PartialMatch& closed, const PartialMatch* parent,
                  const EventPtr& last_event, double* cost, std::vector<Match>* out);
@@ -347,6 +392,7 @@ class Engine {
   PartialMatchStore store_;
   std::vector<StateIndexes> indexes_;
   EngineStats stats_;
+  uint64_t implied_predicates_ = 0;
   uint64_t next_pm_id_ = 1;
   int events_since_evict_ = 0;
   /// Sequence number of the latest processed event, so Vacuum can apply

@@ -231,6 +231,7 @@ Result<std::shared_ptr<Nfa>> Nfa::Compile(Query query, const Schema* schema) {
           spec.build_expr->MaxElemRef() >= 0) {
         // The build side must reference at least one bound element;
         // constant = constant is no join.
+        spec.source = cp;
         state.fill_index = std::move(spec);
       }
     }

@@ -60,6 +60,9 @@ struct JoinIndexSpec {
   bool expression_key = false;
   /// Bytecode program computing the build key (-1: interpreter).
   int vm_build_program = -1;
+  /// The predicate the key was extracted from (fill indexes only): every
+  /// match in a bucket hit by a probe satisfies it, up to Value::Equals.
+  const CompiledPredicate* source = nullptr;
   bool valid() const { return probe_attr >= 0 && build_expr != nullptr; }
 };
 

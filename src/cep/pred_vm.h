@@ -169,6 +169,14 @@ class PredVmModule {
   /// Fills *spec and returns true iff `prog` is a single fused AC compare.
   bool FusedAcProgram(int prog, FusedAcSpec* spec) const;
 
+  /// True iff `prog` is exactly one fused `attr = attr` compare: two
+  /// register loads and the compare, kExprCostBasic each, whatever the
+  /// operands (the shape of a join predicate a hash bucket can prove).
+  bool IsFusedEqAA(int prog) const {
+    const Program& p = programs_[static_cast<size_t>(prog)];
+    return p.code.size() == 2 && p.code[0].op == VmOp::kFEqAA;
+  }
+
   /// The boolean outcome FusedCompare would produce for one lhs slot
   /// against `constant` (truthiness applied; no cost or register effects)
   /// — the reference semantics the engine's batched column kernels must

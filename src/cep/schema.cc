@@ -25,12 +25,12 @@ Result<int> Schema::AddAttribute(std::string name, ValueType type) {
 }
 
 int Schema::EventTypeId(std::string_view name) const {
-  auto it = type_ids_.find(std::string(name));
+  auto it = type_ids_.find(name);
   return it == type_ids_.end() ? -1 : it->second;
 }
 
 int Schema::AttributeIndex(std::string_view name) const {
-  auto it = attr_indexes_.find(std::string(name));
+  auto it = attr_indexes_.find(name);
   return it == attr_indexes_.end() ? -1 : it->second;
 }
 

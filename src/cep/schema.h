@@ -7,6 +7,7 @@
 #ifndef CEPSHED_CEP_SCHEMA_H_
 #define CEPSHED_CEP_SCHEMA_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,10 +57,20 @@ class Schema {
   size_t num_attributes() const { return attributes_.size(); }
 
  private:
+  /// Transparent hashing: the lookups take a string_view (a CSV cell) and
+  /// probe the map without building a std::string per call.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameMap = std::unordered_map<std::string, int, NameHash, std::equal_to<>>;
+
   std::vector<std::string> event_types_;
-  std::unordered_map<std::string, int> type_ids_;
+  NameMap type_ids_;
   std::vector<AttributeDef> attributes_;
-  std::unordered_map<std::string, int> attr_indexes_;
+  NameMap attr_indexes_;
 };
 
 }  // namespace cepshed

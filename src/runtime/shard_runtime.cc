@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -68,6 +69,15 @@ void SumStats(const EngineStats& in, EngineStats* out) {
   out->index_probes += in.index_probes;
   out->peak_pms += in.peak_pms;
   out->total_cost += in.total_cost;
+}
+
+/// The integer whose numeric order is the memcmp order of `seq`'s native
+/// bytes, as Match::Key lays them out.
+uint64_t MemcmpOrderKey(uint64_t seq) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(seq);
+  }
+  return seq;
 }
 
 /// Events a worker pops (and the sequential drain processes) per
@@ -748,22 +758,33 @@ void ShardRuntime::Merge(std::vector<std::unique_ptr<ShardState>>* shards,
   }
 
   // Deterministic total order independent of shard interleaving:
-  // (detection timestamp, event-sequence identity). Matches are already
-  // unique — hash routing assigns each one partition, and slice routing
-  // keeps each match only in its canonical owner shard (FilterToOwnedSlices).
+  // (detection timestamp, Match::Key()). Matches are already unique — hash
+  // routing assigns each one partition, and slice routing keeps each match
+  // only in its canonical owner shard (FilterToOwnedSlices). Key() strings
+  // compare by memcmp over each seq's native bytes; MemcmpOrderKey seqs in
+  // one flat array, compared lexicographically (shorter first on a tie),
+  // give the same order without a string per match.
   struct Keyed {
     Timestamp detected_at;
-    std::string key;
+    size_t begin;
+    size_t end;
     Match* match;
   };
+  std::vector<uint64_t> seqs;
   std::vector<Keyed> keyed;
   keyed.reserve(total_matches);
   for (std::unique_ptr<ShardState>& s : *shards) {
-    for (Match& m : s->matches) keyed.push_back({m.detected_at, m.Key(), &m});
+    for (Match& m : s->matches) {
+      const size_t begin = seqs.size();
+      for (const EventPtr& e : m.events) seqs.push_back(MemcmpOrderKey(e->seq()));
+      keyed.push_back({m.detected_at, begin, seqs.size(), &m});
+    }
   }
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+  const uint64_t* flat = seqs.data();
+  std::sort(keyed.begin(), keyed.end(), [flat](const Keyed& a, const Keyed& b) {
     if (a.detected_at != b.detected_at) return a.detected_at < b.detected_at;
-    return a.key < b.key;
+    return std::lexicographical_compare(flat + a.begin, flat + a.end, flat + b.begin,
+                                        flat + b.end);
   });
   result->matches.reserve(keyed.size());
   for (const Keyed& k : keyed) result->matches.push_back(std::move(*k.match));

@@ -3,6 +3,11 @@
 // Unit tests for the runtime pieces: latency monitor, partial-match store,
 // metrics, NFA compilation details.
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/cep/engine.h"
@@ -10,6 +15,7 @@
 #include "src/cep/partial_match.h"
 #include "src/runtime/latency_monitor.h"
 #include "src/runtime/metrics.h"
+#include "src/runtime/shard_runtime.h"
 #include "src/workload/citibike.h"
 #include "src/workload/ds1.h"
 #include "src/query/parser.h"
@@ -378,6 +384,70 @@ TEST(CountWindowTest, EngineExpiresBySequenceDistance) {
   engine.Process(ev("C", 7), &out);
   engine.Process(ev("B", 8), &out);  // span 4 events: expired
   EXPECT_TRUE(out.empty());
+}
+
+// ShardRuntime's merge sorts flat byte-swapped seqs instead of building a
+// Key() string per match. The string sort stays here as the oracle: the
+// merged order must be exactly (detected_at, Key()) ascending.
+void ExpectKeySortOrder(const std::vector<Match>& merged) {
+  std::vector<std::pair<Timestamp, std::string>> got;
+  for (const Match& m : merged) got.emplace_back(m.detected_at, m.Key());
+  std::vector<std::pair<Timestamp, std::string>> oracle = got;
+  std::sort(oracle.begin(), oracle.end());
+  EXPECT_EQ(got, oracle);
+}
+
+TEST(MergeOrderTest, FourShardQ1MatchesTheKeySortOracle) {
+  const Schema schema = MakeDs1Schema();
+  Ds1Options o;
+  o.num_events = 6000;
+  o.seed = 5;
+  const EventStream stream = GenerateDs1(schema, o);
+  auto q = queries::Q1("2ms");
+  ASSERT_TRUE(q.ok());
+  auto nfa = Nfa::Compile(*q, &schema);
+  ASSERT_TRUE(nfa.ok());
+  ShardRuntimeOptions opts;
+  opts.num_shards = 4;
+  opts.partition_attr = schema.AttributeIndex("ID");
+  auto rt = ShardRuntime::Create(*nfa, opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto r = (*rt)->Run(stream);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GT(r->matches.size(), 50u);
+  ExpectKeySortOrder(r->matches);
+}
+
+TEST(MergeOrderTest, KleeneTiesPutTheShorterKeyFirst) {
+  // Every event shares one timestamp, so all matches tie on detected_at,
+  // and a trailing Kleene component emits each match and its extensions:
+  // keys that are prefixes of one another.
+  const Schema schema = MakeDs1Schema();
+  Ds1Options o;
+  o.num_events = 400;
+  o.event_gap = 0;
+  o.num_ids = 3;
+  o.seed = 9;
+  const EventStream stream = GenerateDs1(schema, o);
+  auto q = ParseQuery(
+      "PATTERN SEQ(A a, B+{1,3} b[]) WHERE a.ID = b[i].ID WITHIN 1ms");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto nfa = Nfa::Compile(*q, &schema);
+  ASSERT_TRUE(nfa.ok()) << nfa.status();
+  ShardRuntimeOptions opts;
+  opts.num_shards = 2;
+  opts.partition_attr = schema.AttributeIndex("ID");
+  auto rt = ShardRuntime::Create(*nfa, opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto r = (*rt)->RunSequential(stream);
+  ASSERT_TRUE(r.ok()) << r.status();
+  size_t prefix_pairs = 0;
+  for (size_t i = 0; i + 1 < r->matches.size(); ++i) {
+    const std::string a = r->matches[i].Key();
+    if (r->matches[i + 1].Key().compare(0, a.size(), a) == 0) ++prefix_pairs;
+  }
+  EXPECT_GT(prefix_pairs, 0u);
+  ExpectKeySortOrder(r->matches);
 }
 
 }  // namespace
