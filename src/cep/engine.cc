@@ -8,6 +8,24 @@
 
 namespace cepshed {
 
+namespace {
+
+/// An int key no double represents exactly (only possible past 2^53).
+/// Value::Equals compares it with a double after rounding, so it Equals
+/// that double and, through it, other ints it differs from: it cannot key
+/// a hash bucket whose members all Equal one another.
+bool InexactIntKey(const Value& key) {
+  if (key.type() != ValueType::kInt) return false;
+  const int64_t i = key.AsInt();
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (i >= -kExact && i <= kExact) return false;
+  // Range check first: a double of 2^63 has no int64 to cast back to.
+  const double d = static_cast<double>(i);
+  return d >= 0x1p63 || static_cast<int64_t>(d) != i;
+}
+
+}  // namespace
+
 double AddRepeated(double sum, double addend, uint64_t n) {
   // Short runs take the loop, which costs about what the closed form's
   // set-up (frexp, ldexp, a divide) does.
@@ -387,7 +405,7 @@ Value Engine::BuildKey(const HashIndex& index, const PartialMatch& pm) {
 }
 
 void Engine::IndexAdd(HashIndex* index, PartialMatch* pm, const Value& key) {
-  if (!index->enabled || key.is_null()) {
+  if (!index->enabled || key.is_null() || InexactIntKey(key)) {
     index->unkeyed.emplace_back(pm);
   } else {
     index->map[key].emplace_back(pm);
@@ -726,14 +744,18 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
       cost += options_.costs.per_index_probe;
       const Value& key = *probe_keys_[static_cast<size_t>(index.spec->probe_attr)];
       if (!key.is_null()) {
-        auto it = index.map.find(key);
+        // An inexact int probe Equals the doubles it rounds to, which key
+        // the bucket of that double; the bucket's int members it need not
+        // Equal, so nothing there is implied. Its int equals sit unkeyed.
+        const bool inexact = InexactIntKey(key);
+        auto it = index.map.find(inexact ? Value(key.ToDouble()) : key);
         if (it != index.map.end()) {
-          // Every key in the bucket Equals the node's key. Value::Equals
-          // promotes int <-> double and is not transitive past 2^53, so
-          // the bucket proves `probe = build` only under an int or string
-          // node key (DESIGN.md §3.12).
+          // Every key in the bucket Equals the node's key. The bucket
+          // proves `probe = build` only under an int or string node key
+          // (DESIGN.md §3.12).
           const ValueType node = it->first.type();
-          scan(it->second, node == ValueType::kInt || node == ValueType::kString
+          scan(it->second, !inexact && (node == ValueType::kInt ||
+                                        node == ValueType::kString)
                                ? index.implied
                                : nullptr);
         }

@@ -85,17 +85,13 @@ size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case ValueType::kInt: {
-      // Hash ints through their double representation when exactly
-      // representable, so that Value(2) and Value(2.0) collide (they are
-      // Equals()-equal under numeric promotion).
-      const int64_t i = AsInt();
-      const double d = static_cast<double>(i);
-      if (static_cast<int64_t>(d) == i) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(i);
-    }
+    case ValueType::kInt:
+      // Through the double the int promotes to, the way Equals() compares
+      // an int with a double: Value(2) and Value(2.0) hash alike, and so
+      // do the int 2^53 + 1 and the double 2^53 it rounds to. Ints a
+      // double represents exactly hash as they always did; int -> double
+      // is defined for every int64 (the reverse cast is not).
+      return std::hash<double>()(static_cast<double>(AsInt()));
     case ValueType::kDouble:
       return std::hash<double>()(AsDouble());
     case ValueType::kString:

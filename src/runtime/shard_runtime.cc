@@ -877,8 +877,15 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
   std::vector<int> targets;
   // Per-shard staging buffers: routing decisions append here and the
   // buffer is flushed to the shard queue with one TryPushBatch claim once
-  // it reaches kRouterBatch (and at every resize barrier and at stream
-  // end), amortizing the queue's CAS/fence traffic over the batch.
+  // it reaches kRouterBatch, or at once when the shard's queue is empty
+  // (and at every resize barrier and at stream end). Under backlog the
+  // queue is non-empty, so batches fill and the queue's CAS/fence traffic
+  // stays amortized over kRouterBatch events; an idle worker, which has
+  // nothing left to pop, gets each event as soon as it is routed instead
+  // of waiting for kRouterBatch - 1 more (Nagle-style batching). The
+  // empty check only decides *when* the stage is flushed — FIFO order,
+  // `pushed` accounting and the flush path are the same either way — so
+  // a stale read costs latency or one extra claim, never correctness.
   std::vector<std::vector<EventPtr>> stage(shards.size());
   const auto flush_shard = [&](int t) {
     ShardState& s = *shards[static_cast<size_t>(t)];
@@ -1014,7 +1021,10 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       // at-th delivery even though the physical push is deferred.
       stage[static_cast<size_t>(t)].push_back(event);
       ++s.pushed;
-      if (stage[static_cast<size_t>(t)].size() >= kRouterBatch) flush_shard(t);
+      if (stage[static_cast<size_t>(t)].size() >= kRouterBatch ||
+          s.queue->SizeApprox() == 0) {
+        flush_shard(t);
+      }
     }
   }
   flush_all();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "src/common/result.h"
@@ -104,6 +106,16 @@ TEST(ValueTest, CompareOrdersNumbersAndStrings) {
 TEST(ValueTest, EqualValuesHashEqually) {
   EXPECT_EQ(Value(2).Hash(), Value(2.0).Hash());
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());
+}
+
+TEST(ValueTest, HashAgreesWithEqualsPast2Pow53) {
+  // The int 2^53 + 1 Equals the double 2^53 it rounds to.
+  const int64_t two53 = int64_t{1} << 53;
+  ASSERT_TRUE(Value(two53 + 1).Equals(Value(static_cast<double>(two53))));
+  EXPECT_EQ(Value(two53 + 1).Hash(), Value(static_cast<double>(two53)).Hash());
+  // The extremes round to +-2^63; hashing them casts nothing back to int.
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::max()).Hash(), Value(0x1p63).Hash());
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::min()).Hash(), Value(-0x1p63).Hash());
 }
 
 TEST(RngTest, DeterministicFromSeed) {

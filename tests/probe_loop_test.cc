@@ -191,6 +191,29 @@ TEST_F(ImpliedPredicateTest, DoubleNodeKeyBeyond2Pow53DoesNotElide) {
   EXPECT_EQ(CheckAgainstReferences("a.K = b.K"), 4u);
 }
 
+// Past 2^53 not every int has a double of its own: Equals() compares the
+// int 2^53 + 1 with a double by rounding it to 2^53. Such an int never
+// keys a bucket; as a probe it looks up the bucket of the double it
+// rounds to, without elision, since that bucket's ints need not Equal it.
+TEST_F(ImpliedPredicateTest, InexactIntProbeFindsTheDoubleItRoundsTo) {
+  const int64_t two53 = int64_t{1} << 53;
+  Add("A", Value(two53));  // an int node; the double joins its bucket
+  Add("A", Value(static_cast<double>(two53)));
+  Add("B", Value(two53 + 1));  // Equals the double, not the int
+  EXPECT_EQ(CheckAgainstReferences("a.K = b.K"), 0u);
+  EXPECT_EQ(Execute("a.K = b.K", EngineOptions()).keys.size(), 1u);
+}
+
+TEST_F(ImpliedPredicateTest, InexactIntBuildKeyIsFoundByADoubleProbe) {
+  const int64_t two53 = int64_t{1} << 53;
+  Add("A", Value(two53 + 1));
+  Add("A", Value(two53 + 3));  // rounds to 2^53 + 4
+  Add("B", Value(static_cast<double>(two53)));  // Equals the first A
+  Add("B", Value(two53 + 1));                   // so does this int
+  CheckAgainstReferences("a.K = b.K");
+  EXPECT_EQ(Execute("a.K = b.K", EngineOptions()).keys.size(), 2u);
+}
+
 TEST_F(ImpliedPredicateTest, StringKeysElide) {
   for (const char* s : {"x", "y", "x", "z"}) Add("A", Value(), Value(std::string(s)));
   for (const char* s : {"x", "z", "w"}) Add("B", Value(), Value(std::string(s)));

@@ -1,10 +1,15 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
 // Unit tests for the runtime pieces: latency monitor, partial-match store,
-// metrics, NFA compilation details.
+// metrics, NFA compilation details, the sharded router's hand-off.
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "src/runtime/latency_monitor.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/shard_runtime.h"
+#include "src/shed/shedder.h"
 #include "src/workload/citibike.h"
 #include "src/workload/ds1.h"
 #include "src/query/parser.h"
@@ -448,6 +454,170 @@ TEST(MergeOrderTest, KleeneTiesPutTheShorterKeyFirst) {
   }
   EXPECT_GT(prefix_pairs, 0u);
   ExpectKeySortOrder(r->matches);
+}
+
+// --- router hand-off -------------------------------------------------------
+
+/// Events the shard workers have handled, per shard in handling order.
+class HandledLog {
+ public:
+  explicit HandledLog(int shards) : per_shard_(static_cast<size_t>(shards)) {}
+
+  void Record(int shard, uint64_t seq) {
+    std::lock_guard<std::mutex> lock(mu_);
+    per_shard_[static_cast<size_t>(shard)].push_back(seq);
+    handled_.insert(seq);
+    cv_.notify_all();
+  }
+
+  /// Waits until event `seq` has been handled; false on timeout.
+  bool WaitFor(uint64_t seq, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return handled_.count(seq) != 0; });
+  }
+
+  std::vector<std::vector<uint64_t>> PerShard() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return per_shard_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::vector<uint64_t>> per_shard_;
+  std::unordered_set<uint64_t> handled_;
+};
+
+/// Forwards every event to the engine and logs it once its step ends.
+/// `busy_us` of spinning per event keeps the worker behind a burst.
+class LoggingShedder : public NoShedder {
+ public:
+  LoggingShedder(HandledLog* log, int shard, int busy_us)
+      : log_(log), shard_(shard), busy_us_(busy_us) {}
+  bool FilterEvent(const Event& event) override {
+    seq_ = event.seq();
+    return false;
+  }
+  void AfterEvent(Timestamp, double) override {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(busy_us_);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    log_->Record(shard_, seq_);
+  }
+
+ private:
+  HandledLog* log_;
+  int shard_;
+  int busy_us_;
+  uint64_t seq_ = 0;
+};
+
+ShardRuntime::ShedderFactory LoggingShedders(HandledLog* log, int busy_us) {
+  return [log, busy_us](int shard) -> std::unique_ptr<Shedder> {
+    return std::make_unique<LoggingShedder>(log, shard, busy_us);
+  };
+}
+
+/// Q1 over DS1, hash-partitioned on ID.
+struct HandoffPlan {
+  Schema schema = MakeDs1Schema();
+  EventStream stream;
+  std::shared_ptr<const Nfa> nfa;
+  ShardRuntimeOptions opts;
+
+  HandoffPlan(size_t events, int shards) : stream(Generate(schema, events)) {
+    auto q = queries::Q1("2ms");
+    EXPECT_TRUE(q.ok());
+    auto compiled = Nfa::Compile(*q, &schema);
+    EXPECT_TRUE(compiled.ok());
+    nfa = *compiled;
+    opts.num_shards = shards;
+    opts.partition_attr = schema.AttributeIndex("ID");
+  }
+
+  static EventStream Generate(const Schema& schema, size_t events) {
+    Ds1Options o;
+    o.num_events = events;
+    o.seed = 17;
+    return GenerateDs1(schema, o);
+  }
+};
+
+TEST(RouterHandoffTest, LoneEventReachesAnIdleShardAtOnce) {
+  // The tap holds event k until the workers have handled event k - 1, so
+  // the router never has more input while k - 1 waits: a router that
+  // held k - 1 back for a fuller batch would time out here.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    HandoffPlan plan(96, shards);
+    HandledLog log(shards);
+    bool timed_out = false;
+    const EventPtr* prev = nullptr;
+    plan.opts.ingest_tap = [&](const EventPtr& event, const std::vector<int>&) {
+      if (prev != nullptr && !timed_out &&
+          !log.WaitFor((*prev)->seq(), std::chrono::seconds(2))) {
+        timed_out = true;
+      }
+      prev = &event;
+    };
+    auto rt = ShardRuntime::Create(plan.nfa, plan.opts);
+    ASSERT_TRUE(rt.ok()) << rt.status();
+    auto r = (*rt)->Run(plan.stream, LoggingShedders(&log, /*busy_us=*/0));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(r->routed_events, plan.stream.size());
+  }
+}
+
+TEST(RouterHandoffTest, BurstsAndIdleGapsKeepTheSequentialResult) {
+  // Bursts of more than a router batch per shard, against workers slowed
+  // enough to fall behind (full batches behind a busy queue), alternate
+  // with idle gaps in which the workers catch up (hand-off at once, often
+  // behind a partly staged batch). Per-shard order, routing and matches
+  // must equal the sequential reference.
+  const size_t kBursts[] = {40, 150, 70, 300};
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE(shards);
+    HandoffPlan plan(2000, shards);
+    HandledLog reference_log(shards);
+    auto reference_rt = ShardRuntime::Create(plan.nfa, plan.opts);
+    ASSERT_TRUE(reference_rt.ok()) << reference_rt.status();
+    auto reference =
+        (*reference_rt)->RunSequential(plan.stream, LoggingShedders(&reference_log, 0));
+    ASSERT_TRUE(reference.ok()) << reference.status();
+
+    HandledLog log(shards);
+    size_t index = 0;
+    size_t burst = 0;
+    size_t burst_end = kBursts[0];
+    const EventPtr* prev = nullptr;
+    plan.opts.ingest_tap = [&](const EventPtr& event, const std::vector<int>&) {
+      if (index == burst_end) {
+        // Idle gap: the workers catch up while the router has no input.
+        // A last event still staged behind a busy queue is not awaited.
+        log.WaitFor((*prev)->seq(), std::chrono::milliseconds(5));
+        burst = (burst + 1) % (sizeof(kBursts) / sizeof(kBursts[0]));
+        burst_end = index + kBursts[burst];
+      }
+      ++index;
+      prev = &event;
+    };
+    auto rt = ShardRuntime::Create(plan.nfa, plan.opts);
+    ASSERT_TRUE(rt.ok()) << rt.status();
+    auto r = (*rt)->Run(plan.stream, LoggingShedders(&log, /*busy_us=*/10));
+    ASSERT_TRUE(r.ok()) << r.status();
+
+    EXPECT_EQ(log.PerShard(), reference_log.PerShard());
+    EXPECT_EQ(r->routed_events, reference->routed_events);
+    EXPECT_EQ(r->routed_events, plan.stream.size());
+    ASSERT_EQ(r->matches.size(), reference->matches.size());
+    ASSERT_GT(r->matches.size(), 0u);
+    for (size_t i = 0; i < r->matches.size(); ++i) {
+      EXPECT_EQ(r->matches[i].detected_at, reference->matches[i].detected_at);
+      EXPECT_EQ(r->matches[i].Key(), reference->matches[i].Key());
+    }
+  }
 }
 
 }  // namespace
