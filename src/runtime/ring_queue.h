@@ -251,13 +251,8 @@ class RingQueue {
   /// Power-of-two slot count.
   size_t capacity() const { return mask_ + 1; }
 
-  /// Approximate occupancy, racy by nature. Besides diagnostics and the
-  /// guard's pressure signal, the sharded router reads it as "has the
-  /// consumer caught up?" to flush its staged events at once instead of
-  /// waiting for a full batch. A stale answer there costs latency (or
-  /// one extra push claim), never order or accounting. Reading `head_`
-  /// adds little traffic under load: the consumer writes it once per
-  /// PopBatch.
+  /// Approximate occupancy, racy by nature: for diagnostics and pressure
+  /// signals (the guard's queue fill, the reshard controller) only.
   size_t SizeApprox() const {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     const size_t head = head_.load(std::memory_order_relaxed);

@@ -85,8 +85,6 @@ uint64_t MemcmpOrderKey(uint64_t seq) {
 /// predicate-mask precompute, small enough to keep the SoA scratch
 /// columns cache-resident.
 constexpr size_t kConsumeBatch = 64;
-/// Events the router stages per shard before a TryPushBatch flush.
-constexpr size_t kRouterBatch = 32;
 
 }  // namespace
 
@@ -352,13 +350,13 @@ struct ShardRuntime::ShardState {
   Duration slice_stride = 0;
   /// Ordinal of the next event this shard consumes (fault anchor).
   uint64_t consumed = 0;
-  /// Events the router has accepted for delivery to this shard: stage
-  /// appends in Run (counted when the routing decision lands, before the
-  /// batched queue flush), buffer appends in RunSequential. Router-owned;
-  /// together with `handled` it forms the migration drain barrier and
-  /// anchors scoped `resize` fault entries. A staged event that is later
-  /// rejected because the shard was abandoned mid-flush stays counted —
-  /// harmless, since abandoned shards are excluded from the barrier.
+  /// Events the router has accepted for delivery to this shard: queue
+  /// pushes in Run (counted when the routing decision lands, before the
+  /// push), buffer appends in RunSequential. Router-owned; together with
+  /// `handled` it forms the migration drain barrier and anchors scoped
+  /// `resize` fault entries. An accepted event that is then rejected
+  /// because the shard was abandoned mid-push stays counted — harmless,
+  /// since abandoned shards are excluded from the barrier.
   uint64_t pushed = 0;
   /// Delivered events fully handled by the consumer (incremented at the
   /// END of Consume, release order, on both the normal and the death
@@ -875,87 +873,54 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
   ReshardController controller(opts_.reshard);
   uint64_t since_check = 0;
   std::vector<int> targets;
-  // Per-shard staging buffers: routing decisions append here and the
-  // buffer is flushed to the shard queue with one TryPushBatch claim once
-  // it reaches kRouterBatch, or at once when the shard's queue is empty
-  // (and at every resize barrier and at stream end). Under backlog the
-  // queue is non-empty, so batches fill and the queue's CAS/fence traffic
-  // stays amortized over kRouterBatch events; an idle worker, which has
-  // nothing left to pop, gets each event as soon as it is routed instead
-  // of waiting for kRouterBatch - 1 more (Nagle-style batching). The
-  // empty check only decides *when* the stage is flushed — FIFO order,
-  // `pushed` accounting and the flush path are the same either way — so
-  // a stale read costs latency or one extra claim, never correctness.
-  std::vector<std::vector<EventPtr>> stage(shards.size());
-  const auto flush_shard = [&](int t) {
-    ShardState& s = *shards[static_cast<size_t>(t)];
-    std::vector<EventPtr>& buf = stage[static_cast<size_t>(t)];
-    size_t i = 0;
-    while (i < buf.size()) {
+  // Delivers one accepted event to shard `s`'s queue as soon as it is
+  // routed, so an idle worker gets it at once. The fast path is one
+  // clock-free claim; a full (or closed) queue falls back to the
+  // bounded-wait push so the dead-consumer recovery below still runs.
+  // Queue-wait is timed only once a push has actually blocked past the
+  // first timeout.
+  const auto deliver = [&](ShardState& s, EventPtr event) {
+    bool waited = false;
+    std::chrono::steady_clock::time_point wait_start;
+    for (;;) {
       if (s.result.abandoned) {
-        s.result.events_rejected += static_cast<uint64_t>(buf.size() - i);
-        break;
+        ++s.result.events_rejected;
+        return;
       }
-      const size_t k = s.queue->TryPushBatch(buf.data() + i, buf.size() - i);
-      result.routed_events += k;
-      i += k;
-      if (i == buf.size()) break;
-      // Queue full (or closed): fall back to the bounded-wait push for one
-      // element so the dead-consumer recovery below still runs. Queue-wait
-      // is timed only once a push has actually blocked past the first
-      // timeout: the uncontended fast path stays clock-free.
-      bool waited = false;
-      std::chrono::steady_clock::time_point wait_start;
-      bool settled = false;
-      while (!settled) {
-        const QueuePushResult r =
-            s.queue->PushForRef(buf[i], opts_.push_timeout_us);
-        if (r != QueuePushResult::kTimedOut && waited && s.obs != nullptr) {
-          s.obs->queue_wait_us.Record(std::chrono::duration<double, std::micro>(
-                                          std::chrono::steady_clock::now() - wait_start)
-                                          .count());
-        }
-        if (r == QueuePushResult::kOk) {
-          ++result.routed_events;
-          ++i;
-          settled = true;
-        } else if (r == QueuePushResult::kClosed) {
-          ++s.result.events_rejected;
-          ++i;
-          settled = true;
-        } else {
-          if (!waited) {
-            waited = true;
-            wait_start = std::chrono::steady_clock::now();
-            if (s.obs != nullptr) s.obs->queue_push_timeouts.Add();
-          }
-          // Timed out on a full queue: either the consumer is merely slow
-          // (keep waiting) or its thread is gone (restart or abandon). This
-          // bounded-wait loop is what turns a dead shard into degraded
-          // recall instead of a deadlocked router.
-          if (s.worker_exited.load(std::memory_order_acquire)) {
-            ReviveOrAbandon(&s);
-            if (s.result.abandoned) settled = true;  // loop top rejects the rest
-          }
-        }
+      const QueuePushResult r = s.queue->PushForRef(event, opts_.push_timeout_us);
+      if (r != QueuePushResult::kTimedOut && waited && s.obs != nullptr) {
+        s.obs->queue_wait_us.Record(std::chrono::duration<double, std::micro>(
+                                        std::chrono::steady_clock::now() - wait_start)
+                                        .count());
       }
-    }
-    buf.clear();
-  };
-  const auto flush_all = [&] {
-    for (size_t t = 0; t < stage.size(); ++t) {
-      if (!stage[t].empty()) flush_shard(static_cast<int>(t));
+      if (r == QueuePushResult::kOk) {
+        ++result.routed_events;
+        return;
+      }
+      if (r == QueuePushResult::kClosed) {
+        ++s.result.events_rejected;
+        return;
+      }
+      if (!waited) {
+        waited = true;
+        wait_start = std::chrono::steady_clock::now();
+        if (s.obs != nullptr) s.obs->queue_push_timeouts.Add();
+      }
+      // Timed out on a full queue: either the consumer is merely slow
+      // (keep waiting) or its thread is gone (restart or abandon; the
+      // loop top then rejects the event). This bounded-wait loop is what
+      // turns a dead shard into degraded recall instead of a deadlocked
+      // router.
+      if (s.worker_exited.load(std::memory_order_acquire)) ReviveOrAbandon(&s);
     }
   };
   // The parallel drain barrier: every live shard has handled everything
-  // delivered to it. Staged events reach the queues first — the barrier
-  // proves quiescence via handled == pushed, and pushed already counts
-  // them. A worker that dies mid-drain is restarted (it resumes the same
-  // queue; only the poisoned event is lost) or abandoned (its backlog
-  // drains as lost but its engine remains extractable) — either way the
-  // barrier resolves and the migration's loss accounting stays exact.
+  // delivered to it (handled == pushed). A worker that dies mid-drain is
+  // restarted (it resumes the same queue; only the poisoned event is
+  // lost) or abandoned (its backlog drains as lost but its engine remains
+  // extractable) — either way the barrier resolves and the migration's
+  // loss accounting stays exact.
   const auto drain = [&] {
-    flush_all();
     for (int i = 0; i < live_shards_; ++i) {
       ShardState& s = *shards[static_cast<size_t>(i)];
       while (!s.result.abandoned &&
@@ -1016,18 +981,10 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
         ++s.result.events_rejected;
         continue;
       }
-      // Accepted for delivery: `pushed` counts at stage time so scoped
-      // resize anchors (pushed >= at) keep firing immediately before the
-      // at-th delivery even though the physical push is deferred.
-      stage[static_cast<size_t>(t)].push_back(event);
       ++s.pushed;
-      if (stage[static_cast<size_t>(t)].size() >= kRouterBatch ||
-          s.queue->SizeApprox() == 0) {
-        flush_shard(t);
-      }
+      deliver(s, event);
     }
   }
-  flush_all();
   for (std::unique_ptr<ShardState>& s : shards) s->queue->Close();
   for (std::unique_ptr<ShardState>& s : shards) {
     if (s->worker.joinable()) s->worker.join();

@@ -571,11 +571,12 @@ TEST(RouterHandoffTest, LoneEventReachesAnIdleShardAtOnce) {
 }
 
 TEST(RouterHandoffTest, BurstsAndIdleGapsKeepTheSequentialResult) {
-  // Bursts of more than a router batch per shard, against workers slowed
-  // enough to fall behind (full batches behind a busy queue), alternate
-  // with idle gaps in which the workers catch up (hand-off at once, often
-  // behind a partly staged batch). Per-shard order, routing and matches
-  // must equal the sequential reference.
+  // Bursts of 40-300 events, against workers slowed enough to fall
+  // behind (pushes land behind a busy queue), alternate with idle gaps in
+  // which the workers catch up. Each gap waits for the burst's last event
+  // to be handled: an event pushed behind a busy queue must not wait for
+  // later input either. Per-shard order, routing and matches must equal
+  // the sequential reference.
   const size_t kBursts[] = {40, 150, 70, 300};
   for (int shards : {1, 2, 4}) {
     SCOPED_TRACE(shards);
@@ -592,11 +593,13 @@ TEST(RouterHandoffTest, BurstsAndIdleGapsKeepTheSequentialResult) {
     size_t burst = 0;
     size_t burst_end = kBursts[0];
     const EventPtr* prev = nullptr;
+    bool timed_out = false;
     plan.opts.ingest_tap = [&](const EventPtr& event, const std::vector<int>&) {
       if (index == burst_end) {
         // Idle gap: the workers catch up while the router has no input.
-        // A last event still staged behind a busy queue is not awaited.
-        log.WaitFor((*prev)->seq(), std::chrono::milliseconds(5));
+        if (!timed_out && !log.WaitFor((*prev)->seq(), std::chrono::seconds(2))) {
+          timed_out = true;
+        }
         burst = (burst + 1) % (sizeof(kBursts) / sizeof(kBursts[0]));
         burst_end = index + kBursts[burst];
       }
@@ -608,6 +611,7 @@ TEST(RouterHandoffTest, BurstsAndIdleGapsKeepTheSequentialResult) {
     auto r = (*rt)->Run(plan.stream, LoggingShedders(&log, /*busy_us=*/10));
     ASSERT_TRUE(r.ok()) << r.status();
 
+    EXPECT_FALSE(timed_out);
     EXPECT_EQ(log.PerShard(), reference_log.PerShard());
     EXPECT_EQ(r->routed_events, reference->routed_events);
     EXPECT_EQ(r->routed_events, plan.stream.size());
